@@ -321,31 +321,38 @@ impl BfvContext {
         m
     }
 
-    /// Pre-encodes a plaintext for repeated homomorphic use: the
-    /// NTT-domain polynomial (for multiplications) and `Δ·m` in
-    /// coefficient domain (for additions and trivial encryptions).
+    /// Pre-encodes a plaintext as a repeated *multiplier*: the
+    /// NTT-domain polynomial plus its Shoup companions.
     ///
     /// The encode + forward-NTT cost is paid once here instead of on
-    /// every [`BfvContext::mul_plain`]/[`BfvContext::add_plain`] call —
-    /// the contract the `pasta-hhe` material cache is built on.
+    /// every [`BfvContext::mul_plain`] call — the contract the
+    /// `pasta-hhe` material cache is built on. Additions take a
+    /// [`ScaledPlaintext`] instead (see [`BfvContext::scale_plaintext`]).
     #[must_use]
     pub fn prepare_plaintext(&self, pt: &Plaintext) -> PreparedPlaintext {
         let mut ntt = RnsPoly::from_u64_coeffs(&self.basis, &pt.coeffs);
         ntt.to_ntt(&self.basis);
         let ntt_shoup = ntt.shoup_rows(&self.basis);
-        PreparedPlaintext {
-            ntt,
-            ntt_shoup,
+        PreparedPlaintext { ntt, ntt_shoup }
+    }
+
+    /// Pre-encodes a plaintext as a repeated *addend*: `Δ·m` in
+    /// coefficient domain, ready for
+    /// [`BfvContext::add_plain_prepared_assign`] and
+    /// [`BfvContext::encrypt_trivial_prepared`].
+    #[must_use]
+    pub fn scale_plaintext(&self, pt: &Plaintext) -> ScaledPlaintext {
+        ScaledPlaintext {
             delta_m: self.delta_times_plain(pt),
         }
     }
 
-    /// [`BfvContext::encrypt_trivial`] from a prepared plaintext (no
+    /// [`BfvContext::encrypt_trivial`] from a scaled plaintext (no
     /// re-encoding).
     #[must_use]
-    pub fn encrypt_trivial_prepared(&self, prep: &PreparedPlaintext) -> Ciphertext {
+    pub fn encrypt_trivial_prepared(&self, scaled: &ScaledPlaintext) -> Ciphertext {
         Ciphertext {
-            polys: vec![prep.delta_m.clone(), RnsPoly::zero(&self.basis)],
+            polys: vec![scaled.delta_m.clone(), RnsPoly::zero(&self.basis)],
         }
     }
 
@@ -528,11 +535,11 @@ impl BfvContext {
         out
     }
 
-    /// In-place [`BfvContext::add_plain`] from a prepared plaintext: no
+    /// In-place [`BfvContext::add_plain`] from a scaled plaintext: no
     /// encode, no allocation.
-    pub fn add_plain_prepared_assign(&self, ct: &mut Ciphertext, prep: &PreparedPlaintext) {
+    pub fn add_plain_prepared_assign(&self, ct: &mut Ciphertext, scaled: &ScaledPlaintext) {
         ct.polys[0].to_coeff(&self.basis);
-        ct.polys[0].add_assign(&self.basis, &prep.delta_m);
+        ct.polys[0].add_assign(&self.basis, &scaled.delta_m);
     }
 
     /// Multiplies a ciphertext by a plaintext polynomial.
@@ -1042,16 +1049,24 @@ impl BfvContext {
         let mut out0 = c0.automorphism(&self.basis, gk.g);
         out0.to_ntt(&self.basis);
         let mut out1: Option<RnsPoly> = None;
-        // Key-switch σ(c1)·σ(s) onto s via the RNS digits of σ(c1).
-        for (j, (b, a)) in gk.components.iter().enumerate() {
+        // Key-switch σ(c1)·σ(s) onto s via the RNS digits of σ(c1),
+        // accumulating in place against the key's Shoup companions.
+        for (j, ((b, a), (b_sh, a_sh))) in gk
+            .components
+            .iter()
+            .zip(gk.components_shoup.iter())
+            .enumerate()
+        {
             let mut d = RnsPoly::from_u64_coeffs(&self.basis, sigma_c1.row(j));
             d.to_ntt(&self.basis);
-            out0 = out0.add(&self.basis, &d.mul(&self.basis, b));
-            let term = d.mul(&self.basis, a);
-            out1 = Some(match out1 {
-                None => term,
-                Some(acc) => acc.add(&self.basis, &term),
-            });
+            out0.add_mul_shoup_assign(&self.basis, &d, b, b_sh);
+            match out1.as_mut() {
+                None => {
+                    d.pointwise_mul_shoup_assign(&self.basis, a, a_sh);
+                    out1 = Some(d);
+                }
+                Some(acc) => acc.add_mul_shoup_assign(&self.basis, &d, a, a_sh),
+            }
         }
         let mut out1 =
             out1.ok_or_else(|| FheError::Incompatible("context has an empty RNS basis".into()))?;
@@ -1147,11 +1162,9 @@ impl Plaintext {
     }
 }
 
-/// A plaintext pre-encoded for repeated homomorphic use (see
-/// [`BfvContext::prepare_plaintext`]): the NTT-domain polynomial feeds
-/// multiplications, the coefficient-domain `Δ·m` feeds additions and
-/// trivial encryptions. Both are context-specific — a prepared
-/// plaintext must only be used with the context that produced it.
+/// A plaintext pre-encoded as a repeated multiplier (see
+/// [`BfvContext::prepare_plaintext`]). Context-specific — it must only
+/// be used with the context that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedPlaintext {
     /// Encoded plaintext in NTT domain.
@@ -1160,6 +1173,14 @@ pub struct PreparedPlaintext {
     /// multiplications run the SIMD Shoup kernels (one high-half
     /// multiply per product) instead of a generic Barrett reduction.
     ntt_shoup: Vec<Vec<u64>>,
+}
+
+/// A plaintext pre-encoded as a repeated addend (see
+/// [`BfvContext::scale_plaintext`]): `Δ·m` in coefficient domain, for
+/// additions and trivial encryptions. Context-specific like
+/// [`PreparedPlaintext`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScaledPlaintext {
     /// `Δ·m` in coefficient domain.
     delta_m: RnsPoly,
 }
@@ -1415,6 +1436,77 @@ mod tests {
         assert_eq!(ctx.decrypt(&sk, &acc).scalar(), expect % 65_537);
     }
 
+    /// `apply_galois` must reproduce, word for word, the key switch it
+    /// has always computed: σ applied with a `% 2N` exponent, then per
+    /// digit `out0 += d·b`, `out1 += d·a` with every product reduced by
+    /// `u128 %` — independent of the Shoup and Barrett kernels.
+    #[test]
+    fn apply_galois_matches_the_reference_key_switch() {
+        let (ctx, sk, pk, _, mut rng) = setup();
+        let basis = ctx.basis();
+        let (n, k) = (basis.n(), basis.len());
+        let sigma = |x: &RnsPoly, g: usize| -> RnsPoly {
+            let rows = (0..k)
+                .map(|i| {
+                    let zp = basis.zp(i);
+                    let mut out = vec![0u64; n];
+                    for (j, &c) in x.row(i).iter().enumerate() {
+                        let e = (j * g) % (2 * n);
+                        if e < n {
+                            out[e] = zp.add(out[e], c);
+                        } else {
+                            out[e - n] = zp.sub(out[e - n], c);
+                        }
+                    }
+                    out
+                })
+                .collect();
+            RnsPoly::from_rows(rows, false)
+        };
+        let mac = |acc: Option<&RnsPoly>, x: &RnsPoly, y: &RnsPoly| -> RnsPoly {
+            let rows = (0..k)
+                .map(|i| {
+                    let p = u128::from(basis.zp(i).p());
+                    (0..n)
+                        .map(|c| {
+                            let prev = acc.map_or(0, |a| u128::from(a.row(i)[c]));
+                            let prod = u128::from(x.row(i)[c]) * u128::from(y.row(i)[c]);
+                            ((prev + prod) % p) as u64
+                        })
+                        .collect()
+                })
+                .collect();
+            RnsPoly::from_rows(rows, true)
+        };
+        for g in [3, 5, 2 * ctx.params().n - 1] {
+            let gk = ctx.generate_galois_key(&sk, g, &mut rng).unwrap();
+            let ct = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
+            let (mut c0, mut c1) = (ct.polys[0].clone(), ct.polys[1].clone());
+            c0.to_coeff(basis);
+            c1.to_coeff(basis);
+            let sigma_c1 = sigma(&c1, g);
+            let mut out0 = sigma(&c0, g);
+            out0.to_ntt(basis);
+            let mut out1: Option<RnsPoly> = None;
+            for (j, (b, a)) in gk.components.iter().enumerate() {
+                let mut d = RnsPoly::from_u64_coeffs(basis, sigma_c1.row(j));
+                d.to_ntt(basis);
+                out0 = mac(Some(&out0), &d, b);
+                out1 = Some(mac(out1.as_ref(), &d, a));
+            }
+            let mut out1 = out1.unwrap();
+            out0.to_coeff(basis);
+            out1.to_coeff(basis);
+            assert_eq!(
+                ctx.apply_galois(&ct, &gk).unwrap(),
+                Ciphertext {
+                    polys: vec![out0, out1]
+                },
+                "g = {g}"
+            );
+        }
+    }
+
     #[test]
     fn prepared_paths_match_direct_paths() {
         let (ctx, _, pk, _, mut rng) = setup();
@@ -1425,16 +1517,17 @@ mod tests {
         }
         let pt = Plaintext { coeffs: pt_coeffs };
         let prep = ctx.prepare_plaintext(&pt);
+        let scaled = ctx.scale_plaintext(&pt);
 
         // mul_plain: prepared must be bit-exact vs direct.
         assert_eq!(ctx.mul_plain_prepared(&ct, &prep), ctx.mul_plain(&ct, &pt));
-        // add_plain: prepared in-place vs direct.
+        // add_plain: scaled in-place vs direct.
         let mut added = ct.clone();
-        ctx.add_plain_prepared_assign(&mut added, &prep);
+        ctx.add_plain_prepared_assign(&mut added, &scaled);
         assert_eq!(added, ctx.add_plain(&ct, &pt));
         // trivial encryption.
         assert_eq!(
-            ctx.encrypt_trivial_prepared(&prep),
+            ctx.encrypt_trivial_prepared(&scaled),
             ctx.encrypt_trivial(&pt)
         );
         // NTT-resident fused accumulate vs add(mul_plain(..)).

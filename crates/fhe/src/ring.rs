@@ -283,6 +283,9 @@ impl RnsPoly {
     }
 
     /// Builds from small unsigned coefficients (e.g. a plaintext poly).
+    /// Rows whose prime exceeds every value (a plaintext's coefficients
+    /// are below `t`, which is below every `q_i`) are plain copies; only
+    /// the others pay a `%` per coefficient.
     ///
     /// # Panics
     ///
@@ -290,14 +293,22 @@ impl RnsPoly {
     #[must_use]
     pub fn from_u64_coeffs(basis: &RnsBasis, values: &[u64]) -> Self {
         assert_eq!(values.len(), basis.n(), "coefficient count mismatch");
-        let mut p = Self::zero(basis);
-        for (i, row) in p.coeffs.iter_mut().enumerate() {
-            let zp = basis.zp(i);
-            for (j, &v) in values.iter().enumerate() {
-                row[j] = v % zp.p();
+        let max = values.iter().copied().max().unwrap_or(0);
+        let mut coeffs = crate::scratch::take_rows(basis.len(), basis.n());
+        for (i, row) in coeffs.iter_mut().enumerate() {
+            let p = basis.zp(i).p();
+            if max < p {
+                row.copy_from_slice(values);
+            } else {
+                for (r, &v) in row.iter_mut().zip(values) {
+                    *r = v % p;
+                }
             }
         }
-        p
+        RnsPoly {
+            coeffs,
+            is_ntt: false,
+        }
     }
 
     /// Builds from small signed coefficients (secrets/errors).
@@ -457,15 +468,9 @@ impl RnsPoly {
             self.is_ntt && a.is_ntt && b.is_ntt,
             "fused multiply-accumulate requires NTT domain"
         );
+        let be = simd::backend();
         for (i, row) in self.coeffs.iter_mut().enumerate() {
-            let zp = basis.zp(i);
-            for ((acc, &x), &y) in row
-                .iter_mut()
-                .zip(a.coeffs[i].iter())
-                .zip(b.coeffs[i].iter())
-            {
-                *acc = zp.add(*acc, zp.mul(x, y));
-            }
+            simd::mac_mod_with(be, basis.zp(i).p(), row, &a.coeffs[i], &b.coeffs[i]);
         }
     }
 
@@ -482,10 +487,7 @@ impl RnsPoly {
         self.coeffs
             .iter()
             .enumerate()
-            .map(|(i, row)| {
-                let zp = basis.zp(i);
-                row.iter().map(|&w| zp.shoup(w)).collect()
-            })
+            .map(|(i, row)| basis.zp(i).shoup_row(row))
             .collect()
     }
 
@@ -675,6 +677,8 @@ impl RnsPoly {
         assert!(!self.is_ntt, "automorphism requires coefficient domain");
         assert!(g % 2 == 1, "Galois element must be odd");
         let n = basis.n();
+        // N is a power of two, so reducing exponents mod 2N is a mask.
+        let mask = 2 * n - 1;
         let mut out = RnsPoly::zero(basis);
         for (i, row) in self.coeffs.iter().enumerate() {
             let zp = basis.zp(i);
@@ -682,7 +686,7 @@ impl RnsPoly {
                 if c == 0 {
                     continue;
                 }
-                let e = (j * g) % (2 * n);
+                let e = (j * g) & mask;
                 if e < n {
                     out.coeffs[i][e] = zp.add(out.coeffs[i][e], c);
                 } else {

@@ -26,6 +26,13 @@
 //! instead of scalar ones) but is amortized over `N` blocks — the
 //! throughput play of the original software, reproduced here.
 //!
+//! A cold window's material is built in three steps, each on the
+//! worker pool: the window's block entries come from one batch lookup
+//! ([`MaterialCache::blocks`], misses derived in parallel); each
+//! layer-half is transposed into slot-major rows; and each row is
+//! encoded once — matrix entries as NTT-prepared multipliers, round
+//! constants as `Δ`-scaled addends, since those are only ever added.
+//!
 //! Unlike [`crate::packed`], this layout is *rotation-free*: state
 //! position `(i)` lives in its own ciphertext and slots only ever meet
 //! slot-wise, so there are no Galois key-switches for the hoisted-BSGS
@@ -115,10 +122,8 @@ impl BatchedHheServer {
         self.encoder.slots()
     }
 
-    /// Builds the prepared plaintext material for one batch window:
-    /// per layer and half, the `t × t` slot-vector weights and `t`
-    /// round constants, batch-encoded and NTT-prepared once. The
-    /// `t × t` fan-out runs on the worker pool.
+    /// Builds the prepared plaintext material for one batch window (see
+    /// [`prepare_slotted_material`]).
     fn prepare_batch(
         &self,
         ctx: &BfvContext,
@@ -128,12 +133,10 @@ impl BatchedHheServer {
     ) -> BatchedEntry {
         // Raw material and matrices come from the shared block section —
         // the scalar and packed servers reuse the same entries.
-        let per_block: Vec<Arc<BlockEntry>> = (0..blocks)
-            .map(|s| {
-                self.cache
-                    .block(&self.params, nonce, first_counter + s as u64)
-            })
+        let coords: Vec<(u128, u64)> = (0..blocks as u64)
+            .map(|s| (nonce, first_counter + s))
             .collect();
+        let per_block = self.cache.blocks(&self.params, &coords);
         prepare_slotted_material(ctx, &self.params, &self.encoder, &per_block)
     }
 
@@ -239,63 +242,86 @@ impl BatchedHheServer {
 
 /// Builds the prepared plaintext material for a slot-parallel pass over
 /// arbitrary per-slot block material: per layer and half, the `t × t`
-/// slot-vector weights and `t` round constants, batch-encoded and
-/// NTT-prepared once. Slot `s` carries `per_slot[s]`'s matrix entries —
-/// the slots need not share a nonce or counter window, which is what
-/// lets the cross-tenant multiplexer reuse this builder. The `t × t`
-/// fan-out runs on the worker pool.
+/// slot-vector weights (NTT-prepared multipliers) and `t` round
+/// constants (`Δ`-scaled addends), batch-encoded once. Slot `s` carries
+/// `per_slot[s]`'s entries — the slots need not share a nonce or
+/// counter window, which is what lets the cross-tenant multiplexer
+/// reuse this builder.
+///
+/// Each layer-half is first transposed into slot-major rows (row
+/// `(i, j)` holds entry `(i, j)` of every block, contiguous), so the
+/// per-cell encode reads one dense row instead of one word from each
+/// of `blocks` separate matrices. The transpose and the per-row
+/// encodes run on the worker pool.
 pub(crate) fn prepare_slotted_material(
     ctx: &BfvContext,
     params: &PastaParams,
     encoder: &BatchEncoder,
     per_slot: &[Arc<BlockEntry>],
 ) -> BatchedEntry {
-    let t = params.t();
+    let half = |layer: usize, is_left: bool| -> BatchedHalf {
+        let matrices: Vec<&[u64]> = per_slot
+            .iter()
+            .map(|b| {
+                let m = &b.matrices[layer];
+                if is_left { &m.left } else { &m.right }.as_slice()
+            })
+            .collect();
+        let constants: Vec<&[u64]> = per_slot
+            .iter()
+            .map(|b| {
+                let l = &b.material.layers[layer];
+                if is_left { &l.rc_left } else { &l.rc_right }.as_slice()
+            })
+            .collect();
+        BatchedHalf {
+            weights: pasta_par::parallel_map(&slot_major(&matrices), |_, row| {
+                ctx.prepare_plaintext(&encoder.encode(row))
+            }),
+            rc: pasta_par::parallel_map(&slot_major(&constants), |_, row| {
+                ctx.scale_plaintext(&encoder.encode(row))
+            }),
+        }
+    };
     let layers = (0..params.affine_layers())
-        .map(|layer| {
-            let half = |is_left: bool| -> BatchedHalf {
-                let cells: Vec<usize> = (0..t * t).collect();
-                let weights = pasta_par::parallel_map(&cells, |_, &cell| {
-                    let (i, j) = (cell / t, cell % t);
-                    // Slot s carries block s's matrix entry (i, j).
-                    let slots: Vec<u64> = per_slot
-                        .iter()
-                        .map(|b| {
-                            let m = &b.matrices[layer];
-                            if is_left {
-                                m.left.get(i, j)
-                            } else {
-                                m.right.get(i, j)
-                            }
-                        })
-                        .collect();
-                    ctx.prepare_plaintext(&encoder.encode(&slots))
-                });
-                let rc = (0..t)
-                    .map(|i| {
-                        let slots: Vec<u64> = per_slot
-                            .iter()
-                            .map(|b| {
-                                let l = &b.material.layers[layer];
-                                if is_left {
-                                    l.rc_left[i]
-                                } else {
-                                    l.rc_right[i]
-                                }
-                            })
-                            .collect();
-                        ctx.prepare_plaintext(&encoder.encode(&slots))
-                    })
-                    .collect();
-                BatchedHalf { weights, rc }
-            };
-            BatchedLayer {
-                left: half(true),
-                right: half(false),
-            }
+        .map(|layer| BatchedLayer {
+            left: half(layer, true),
+            right: half(layer, false),
         })
         .collect();
     BatchedEntry { layers }
+}
+
+/// Cells per transpose task: one task reads a 512-byte run of each
+/// block's row-major entries.
+const CELL_GROUP: usize = 64;
+/// Blocks per transpose tile: a tile's `CELL_GROUP × BLOCK_TILE` words
+/// (32 KiB) stay cache-resident while they are scattered into rows.
+const BLOCK_TILE: usize = 64;
+
+/// Transposes per-block entry lists (`per_block[s][cell]`, all of one
+/// length) into slot-major rows: `rows[cell][s] = per_block[s][cell]`.
+/// Cell groups run on the worker pool; within a group, blocks are
+/// visited tile by tile.
+fn slot_major(per_block: &[&[u64]]) -> Vec<Vec<u64>> {
+    let cells = per_block.first().map_or(0, |b| b.len());
+    let groups: Vec<usize> = (0..cells.div_ceil(CELL_GROUP)).collect();
+    pasta_par::parallel_map(&groups, |_, &g| {
+        let cell_range = g * CELL_GROUP..((g + 1) * CELL_GROUP).min(cells);
+        let mut rows = vec![vec![0u64; per_block.len()]; cell_range.len()];
+        for (tile_index, tile) in per_block.chunks(BLOCK_TILE).enumerate() {
+            let first = tile_index * BLOCK_TILE;
+            for (row, cell) in rows.iter_mut().zip(cell_range.clone()) {
+                for (dst, block) in row[first..first + tile.len()].iter_mut().zip(tile) {
+                    *dst = block[cell];
+                }
+            }
+        }
+        rows
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Evaluates the slot-parallel PASTA keystream circuit from prepared
@@ -515,6 +541,44 @@ mod tests {
             "warm pass must not re-prepare"
         );
         assert!(stats.hits >= 1, "warm pass must hit the cache");
+    }
+
+    #[test]
+    fn scalar_and_packed_servers_reuse_batched_block_entries() {
+        let w = setup();
+        let cache = Arc::clone(w.server.cache());
+        let _ = w.server.keystream_batch(&w.ctx, 0xEE, 0, 3).unwrap();
+        let after_batch = cache.stats();
+
+        // The scalar server reads the same block section: a two-block
+        // message under the batch's nonce is two block hits.
+        let mut rng = StdRng::seed_from_u64(909);
+        let pk = w.ctx.generate_public_key(&w.sk, &mut rng);
+        let relin = w.ctx.generate_relin_key(&w.sk, &mut rng);
+        let ek = w.client.provision_key(&w.ctx, &pk, &mut rng);
+        let scalar = crate::HheServer::new(*w.client.params(), relin, ek)
+            .unwrap()
+            .with_cache(Arc::clone(&cache));
+        let ct = w.client.encrypt(0xEE, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        let _ = scalar.transcipher(&w.ctx, &ct).unwrap();
+        let after_scalar = cache.stats();
+        assert_eq!(after_scalar.misses, after_batch.misses);
+        assert_eq!(after_scalar.hits, after_batch.hits + 2);
+
+        // The packed server misses only its own diagonal section.
+        let packed = crate::PackedHheServer::new(
+            *w.client.params(),
+            &w.ctx,
+            &w.sk,
+            w.client.cipher().key().expose_elements(),
+            &mut rng,
+        )
+        .unwrap()
+        .with_cache(Arc::clone(&cache));
+        let _ = packed.keystream_packed(&w.ctx, 0xEE, 2).unwrap();
+        let after_packed = cache.stats();
+        assert_eq!(after_packed.misses, after_scalar.misses + 1);
+        assert_eq!(after_packed.hits, after_scalar.hits + 1);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   `(PastaParams, nonce, counter)`. Shared by all three server modes
 //!   (the SIMD builders read their matrix entries from here).
 //! - **batched** — [`BatchedEntry`]: per-layer, per-half `t × t`
-//!   [`PreparedPlaintext`] weights and `t` round-constant plaintexts for
-//!   the slot-parallel server, keyed additionally by the [`BfvParams`]
-//!   and the `(first_counter, blocks)` window.
+//!   [`PreparedPlaintext`] weights and `t` round-constant
+//!   [`ScaledPlaintext`]s for the slot-parallel server, keyed
+//!   additionally by the [`BfvParams`] and the `(first_counter, blocks)`
+//!   window.
 //! - **packed** — [`PackedEntry`]: the per-layer diagonal plaintexts
 //!   (naive per-diagonal, or plaintext-pre-rotated into baby-step/
 //!   giant-step groups — see [`PackedStrategy`]) and the concatenated
@@ -51,14 +52,21 @@
 //! Concurrency: each section is guarded by a [`Mutex`]; a miss builds
 //! the entry while holding the section lock (deliberate — concurrent
 //! callers for the same key would otherwise duplicate an expensive
-//! derivation). Entries are returned as [`Arc`]s so evaluation proceeds
-//! lock-free after lookup.
+//! derivation). The batch block lookup ([`MaterialCache::blocks`])
+//! keeps that rule for a whole window at once: holding the section lock
+//! throughout, it finds the resident entries, derives every absent key
+//! exactly once on the worker pool (the workers call
+//! [`BlockEntry::derive`] and never touch the lock), and then replays
+//! the lookups in order, so hit/miss counts and LRU order are those of
+//! one-at-a-time lookups. Entries are
+//! returned as [`Arc`]s so evaluation proceeds lock-free after lookup.
 
 use pasta_core::matrix::RowGenerator;
 use pasta_core::permutation::{derive_block_material, BlockMaterial};
 use pasta_core::PastaParams;
-use pasta_fhe::{BfvParams, Ciphertext as FheCiphertext, PreparedPlaintext};
+use pasta_fhe::{BfvParams, Ciphertext as FheCiphertext, PreparedPlaintext, ScaledPlaintext};
 use pasta_math::linalg::Matrix;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Cache key for raw block material: the PASTA instance plus the block
@@ -162,8 +170,9 @@ pub struct BatchedHalf {
     /// Row-major `t × t` weight plaintexts: slot `s` of `weights[i·t+j]`
     /// holds block `s`'s matrix entry `(i, j)`, NTT-prepared.
     pub weights: Vec<PreparedPlaintext>,
-    /// `rc[i]`: slot `s` holds block `s`'s round constant for row `i`.
-    pub rc: Vec<PreparedPlaintext>,
+    /// `rc[i]`: slot `s` holds block `s`'s round constant for row `i`,
+    /// scaled by `Δ` (round constants are only ever added).
+    pub rc: Vec<ScaledPlaintext>,
 }
 
 impl BatchedHalf {
@@ -227,8 +236,8 @@ pub enum PackedAffine {
 pub struct PackedLayer {
     /// The prepared diagonal operands.
     pub affine: PackedAffine,
-    /// `rc_left ‖ rc_right` encoded into lanes `0..2t`, prepared.
-    pub rc: PreparedPlaintext,
+    /// `rc_left ‖ rc_right` encoded into lanes `0..2t`, scaled by `Δ`.
+    pub rc: ScaledPlaintext,
 }
 
 /// All prepared diagonal material of one packed block.
@@ -318,6 +327,24 @@ impl<K: PartialEq + Clone, V> Lru<K, V> {
     }
 
     fn get_or_insert_with(&mut self, key: &K, bytes: usize, build: impl FnOnce() -> V) -> Arc<V> {
+        self.get_or_insert_arc(key, bytes, || Arc::new(build()))
+    }
+
+    /// The resident value for `key`, without counting a lookup or
+    /// touching the LRU order.
+    fn peek(&self, key: &K) -> Option<Arc<V>> {
+        self.entries
+            .iter()
+            .find(|(k, _, _)| k == key)
+            .map(|(_, v, _)| Arc::clone(v))
+    }
+
+    fn get_or_insert_arc(
+        &mut self,
+        key: &K,
+        bytes: usize,
+        value: impl FnOnce() -> Arc<V>,
+    ) -> Arc<V> {
         if let Some(pos) = self.entries.iter().position(|(k, _, _)| k == key) {
             self.hits += 1;
             let entry = self.entries.remove(pos);
@@ -326,7 +353,7 @@ impl<K: PartialEq + Clone, V> Lru<K, V> {
             return value;
         }
         self.misses += 1;
-        let value = Arc::new(build());
+        let value = value();
         self.entries
             .insert(0, (key.clone(), Arc::clone(&value), bytes));
         self.bytes += bytes;
@@ -434,14 +461,54 @@ impl MaterialCache {
     /// `(params, nonce, counter)`, derived on first use.
     #[must_use]
     pub fn block(&self, params: &PastaParams, nonce: u128, counter: u64) -> Arc<BlockEntry> {
-        let key = BlockKey {
+        let mut entries = self.blocks(params, &[(nonce, counter)]);
+        entries.swap_remove(0)
+    }
+
+    /// The block entries for `coords` (`(nonce, counter)` per slot, in
+    /// order), as if each were looked up with [`MaterialCache::block`]
+    /// in turn — same hit/miss counts, same LRU order — but with every
+    /// absent key derived once, on the worker pool (see module docs).
+    #[must_use]
+    pub fn blocks(&self, params: &PastaParams, coords: &[(u128, u64)]) -> Vec<Arc<BlockEntry>> {
+        let key = |&(nonce, counter): &(u128, u64)| BlockKey {
             pasta: *params,
             nonce,
             counter,
         };
         let bytes = approx_block_entry_bytes(params);
-        lock(&self.blocks)
-            .get_or_insert_with(&key, bytes, || BlockEntry::derive(params, nonce, counter))
+        let mut section = lock(&self.blocks);
+        // What is resident now, and each absent key once, in order.
+        let mut absent: HashMap<(u128, u64), usize> = HashMap::new();
+        let mut to_derive = Vec::new();
+        let resident: Vec<Option<Arc<BlockEntry>>> = coords
+            .iter()
+            .map(|c| {
+                let hit = section.peek(&key(c));
+                if hit.is_none() {
+                    absent.entry(*c).or_insert_with(|| {
+                        to_derive.push(*c);
+                        to_derive.len() - 1
+                    });
+                }
+                hit
+            })
+            .collect();
+        let derived = pasta_par::parallel_map(&to_derive, |_, &(nonce, counter)| {
+            Arc::new(BlockEntry::derive(params, nonce, counter))
+        });
+        // Replay in order. A miss inserts the entry already in hand: the
+        // derived one, or the one resident above but since evicted by
+        // this very window.
+        coords
+            .iter()
+            .zip(resident)
+            .map(|(c, hit)| {
+                section.get_or_insert_arc(&key(c), bytes, || {
+                    hit.unwrap_or_else(|| Arc::clone(&derived[absent[c]]))
+                })
+            })
+            .collect()
     }
 
     /// The batched prepared material for `key`, built by `build` on a
@@ -532,11 +599,18 @@ pub fn approx_block_entry_bytes(params: &PastaParams) -> usize {
 
 /// Approximate resident size (bytes) of one [`PreparedPlaintext`]: `N`
 /// coefficients across `prime_count` RNS limbs of 8 bytes each, times
-/// three resident arrays (the NTT-domain rows, their Shoup companions
-/// precomputed for the SIMD multiply kernels, and `Δ·m`).
+/// two resident arrays (the NTT-domain rows and their Shoup companions
+/// precomputed for the SIMD multiply kernels).
 #[must_use]
 pub fn approx_prepared_plaintext_bytes(bfv: &BfvParams) -> usize {
-    3 * bfv.n * bfv.prime_count * 8
+    2 * bfv.n * bfv.prime_count * 8
+}
+
+/// Approximate resident size (bytes) of one [`ScaledPlaintext`]: the
+/// one array `Δ·m`, `N` coefficients across `prime_count` RNS limbs.
+#[must_use]
+pub fn approx_scaled_plaintext_bytes(bfv: &BfvParams) -> usize {
+    bfv.n * bfv.prime_count * 8
 }
 
 /// Approximate resident size (bytes) of one BFV ciphertext (two ring
@@ -547,22 +621,24 @@ pub fn approx_ciphertext_bytes(bfv: &BfvParams) -> usize {
 }
 
 /// Approximate resident size (bytes) of one [`BatchedEntry`] (also the
-/// slot-material shape): per layer and half, `t² + t` prepared
-/// plaintexts.
+/// slot-material shape): per layer and half, `t²` prepared weights and
+/// `t` scaled round constants.
 #[must_use]
 pub fn approx_batched_entry_bytes(params: &PastaParams, bfv: &BfvParams) -> usize {
     let t = params.t();
     let layers = params.rounds() + 1;
-    layers * 2 * (t * t + t) * approx_prepared_plaintext_bytes(bfv)
+    layers
+        * 2
+        * (t * t * approx_prepared_plaintext_bytes(bfv) + t * approx_scaled_plaintext_bytes(bfv))
 }
 
 /// Approximate resident size (bytes) of one [`PackedEntry`]: per layer,
-/// up to `2t` prepared diagonals plus the round-constant plaintext.
+/// up to `2t` prepared diagonals plus the scaled round constant.
 #[must_use]
 pub fn approx_packed_entry_bytes(params: &PastaParams, bfv: &BfvParams) -> usize {
     let t = params.t();
     let layers = params.rounds() + 1;
-    layers * (2 * t + 1) * approx_prepared_plaintext_bytes(bfv)
+    layers * (2 * t * approx_prepared_plaintext_bytes(bfv) + approx_scaled_plaintext_bytes(bfv))
 }
 
 /// Approximate resident size (bytes) of one [`ComposedKeyEntry`]: `2t`
@@ -709,6 +785,71 @@ mod tests {
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         // A fresh derivation agrees exactly.
         assert_eq!(*a, BlockEntry::derive(&params(), 7, 3));
+    }
+
+    /// Resident block keys, most recent first.
+    fn block_order(cache: &MaterialCache) -> Vec<(u128, u64)> {
+        lock(&cache.blocks)
+            .entries
+            .iter()
+            .map(|(k, _, _)| (k.nonce, k.counter))
+            .collect()
+    }
+
+    #[test]
+    fn batch_block_lookup_counts_like_single_lookups() {
+        let p = params();
+        let window: Vec<(u128, u64)> = (0..6).map(|c| (4, c)).collect();
+        let cache = MaterialCache::with_capacities(8, 1, 1);
+        let cold = cache.blocks(&p, &window);
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 6 });
+        for (entry, &(nonce, counter)) in cold.iter().zip(&window) {
+            assert_eq!(**entry, BlockEntry::derive(&p, nonce, counter));
+        }
+        let warm = cache.blocks(&p, &window);
+        assert_eq!(cache.stats(), CacheStats { hits: 6, misses: 6 });
+        assert!(cold.iter().zip(&warm).all(|(a, b)| Arc::ptr_eq(a, b)));
+        // Single lookups see the batch's entries.
+        assert!(Arc::ptr_eq(&cache.block(&p, 4, 2), &cold[2]));
+        assert_eq!(cache.stats(), CacheStats { hits: 7, misses: 6 });
+    }
+
+    #[test]
+    fn batch_block_lookup_replays_single_lookups_exactly() {
+        // Capacity 4: a resident key is evicted by the window before the
+        // window reaches it, a duplicate coordinate hits, and a key
+        // repeated after its eviction misses again — counts and LRU
+        // order must match one-at-a-time lookups in every case.
+        let p = params();
+        let warmup: Vec<(u128, u64)> = vec![(1, 0), (1, 1), (1, 2)];
+        let window: Vec<(u128, u64)> = vec![
+            (2, 0),
+            (1, 2),
+            (2, 0),
+            (2, 1),
+            (2, 2),
+            (2, 3),
+            (1, 0),
+            (2, 4),
+            (1, 2),
+        ];
+        let batch = MaterialCache::with_capacities(4, 1, 1);
+        let single = MaterialCache::with_capacities(4, 1, 1);
+        let _ = batch.blocks(&p, &warmup);
+        for &(nonce, counter) in &warmup {
+            let _ = single.block(&p, nonce, counter);
+        }
+        let got = batch.blocks(&p, &window);
+        let expect: Vec<Arc<BlockEntry>> = window
+            .iter()
+            .map(|&(nonce, counter)| single.block(&p, nonce, counter))
+            .collect();
+        assert_eq!(batch.stats(), single.stats());
+        assert_eq!(block_order(&batch), block_order(&single));
+        assert_eq!(got.len(), expect.len());
+        assert!(got.iter().zip(&expect).all(|(a, b)| **a == **b));
+        // Duplicate coordinates share one derivation.
+        assert!(Arc::ptr_eq(&got[0], &got[2]));
     }
 
     #[test]

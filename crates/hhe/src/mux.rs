@@ -42,7 +42,7 @@
 //! once.
 
 use crate::batched::{eval_slotted_circuit, prepare_slotted_material};
-use crate::cache::{BlockEntry, ComposedKeyEntry, CompositionKey, MaterialCache, SlotMaterialKey};
+use crate::cache::{ComposedKeyEntry, CompositionKey, MaterialCache, SlotMaterialKey};
 use crate::client::EncryptedPastaKey;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{
@@ -299,10 +299,7 @@ impl MuxHheServer {
             slots: slots.clone(),
         };
         let prepared = self.cache.slot_material(&material_key, || {
-            let per_slot: Vec<Arc<BlockEntry>> = slots
-                .iter()
-                .map(|&(nonce, counter)| self.cache.block(&self.params, nonce, counter))
-                .collect();
+            let per_slot = self.cache.blocks(&self.params, &slots);
             prepare_slotted_material(ctx, &self.params, &self.encoder, &per_slot)
         });
 

@@ -438,8 +438,9 @@ impl PackedHheServer {
     }
 
     /// Builds the prepared diagonal material for one packed block: per
-    /// layer, the (strategy-shaped) diagonals of `diag(M_L, M_R)` and
-    /// the concatenated round constant, lane-encoded and NTT-prepared.
+    /// layer, the (strategy-shaped) diagonals of `diag(M_L, M_R)`,
+    /// lane-encoded and NTT-prepared, and the concatenated round
+    /// constant, lane-encoded and `Δ`-scaled.
     fn prepare_packed(&self, ctx: &BfvContext, nonce: u128, counter: u64) -> PackedEntry {
         let t = self.params.t();
         let block = self.cache.block(&self.params, nonce, counter);
@@ -462,7 +463,7 @@ impl PackedHheServer {
                 let affine = self.prepare_affine(ctx, &bd, self.strategy);
                 let mut rc = layer.rc_left.clone();
                 rc.extend_from_slice(&layer.rc_right);
-                let rc = ctx.prepare_plaintext(&self.layout.encode_lanes(&self.encoder, &rc, 0));
+                let rc = ctx.scale_plaintext(&self.layout.encode_lanes(&self.encoder, &rc, 0));
                 PackedLayer { affine, rc }
             })
             .collect();

@@ -112,6 +112,13 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Borrow every entry as one row-major slice: entry `(r, c)` is at
+    /// index `r · cols + c`.
+    #[must_use]
+    pub fn as_slice(&self) -> &[u64] {
+        &self.data
+    }
+
     /// Matrix–vector product `M · x`.
     ///
     /// # Errors

@@ -36,6 +36,10 @@
 //!   carry chain loses to the scalar MULX pipeline on every CPU
 //!   measured, so both backends run the scalar u128 accumulator behind
 //!   the same dispatch seam.
+//! * The unprepared pointwise product and MAC (ciphertext tensor, key
+//!   generation) reduce with a single-multiply Barrett; its two
+//!   full-width products vectorize no better, so both backends run the
+//!   scalar loop there too.
 //!
 //! Four 62-bit lanes are safe under the lazy discipline because every
 //! supported modulus is ≤ 62 bits: `4p < 2⁶⁴`, so the widest transient
@@ -401,6 +405,84 @@ pub fn mac_shoup(p: u64, acc: &mut [u64], a: &[u64], w: &[u64], w_shoup: &[u64])
     mac_shoup_with(backend(), p, acc, a, w, w_shoup);
 }
 
+/// Canonical pointwise product `a[i] = a[i]·b[i] mod p` of two
+/// unprepared operands (the ciphertext tensor and key generation, where
+/// neither side is long-lived enough to earn Shoup companions), via the
+/// single-multiply Barrett reduction below. All inputs canonical; `p`
+/// at most 62 bits.
+pub fn pointwise_mul_mod_with(backend: Backend, p: u64, a: &mut [u64], b: &[u64]) {
+    assert_eq!(a.len(), b.len());
+    let br = Barrett::new(p);
+    dispatch!(
+        backend,
+        scalar::pointwise_mul_mod(br, a, b),
+        avx2::pointwise_mul_mod(br, a, b)
+    );
+}
+
+/// Unprepared pointwise product on the cached global backend.
+pub fn pointwise_mul_mod(p: u64, a: &mut [u64], b: &[u64]) {
+    pointwise_mul_mod_with(backend(), p, a, b);
+}
+
+/// Fused multiply–accumulate `acc[i] = acc[i] + a[i]·b[i] mod p` of
+/// unprepared operands; all canonical. Bit-identical to
+/// `zp.add(acc, zp.mul(a, b))`.
+pub fn mac_mod_with(backend: Backend, p: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
+    assert_eq!(acc.len(), a.len());
+    assert_eq!(acc.len(), b.len());
+    let br = Barrett::new(p);
+    dispatch!(
+        backend,
+        scalar::mac_mod(br, acc, a, b),
+        avx2::mac_mod(br, acc, a, b)
+    );
+}
+
+/// Single-multiply Barrett constants for a modulus of `s ≤ 62` bits:
+/// `x mod p` for `x < p²` as `x − q̂·p` with
+/// `q̂ = ⌊⌊x/2^(s−1)⌋·⌊2^(2s)/p⌋ / 2^(s+1)⌋` (HAC 14.42). Both factors
+/// of the quotient product are below `2^(s+1) ≤ 2⁶³`, so it is one
+/// 64×64→128 multiply, and `q ≥ q̂ ≥ q − 2` leaves at most two
+/// conditional subtractions. The remainder `< 3p < 2⁶⁴` is exact in
+/// wrapping u64 arithmetic.
+#[derive(Debug, Clone, Copy)]
+struct Barrett {
+    p: u64,
+    /// `s − 1`.
+    shift: u32,
+    /// `⌊2^(2s)/p⌋ < 2^(s+1)`.
+    factor: u64,
+}
+
+impl Barrett {
+    fn new(p: u64) -> Self {
+        assert!((2..1 << 62).contains(&p), "Barrett modulus must be 2..2^62");
+        let s = u64::BITS - p.leading_zeros();
+        Barrett {
+            p,
+            shift: s - 1,
+            factor: ((1u128 << (2 * s)) / u128::from(p)) as u64,
+        }
+    }
+
+    /// `a·b mod p` for canonical `a`, `b`.
+    #[inline]
+    fn mul(self, a: u64, b: u64) -> u64 {
+        let x = u128::from(a) * u128::from(b);
+        let q = ((u128::from((x >> self.shift) as u64) * u128::from(self.factor))
+            >> (self.shift + 2)) as u64;
+        let mut r = (x as u64).wrapping_sub(q.wrapping_mul(self.p));
+        if r >= self.p {
+            r -= self.p;
+        }
+        if r >= self.p {
+            r -= self.p;
+        }
+        r
+    }
+}
+
 /// BEHZ base-conversion dot product:
 /// `out[c] = (Σ_i rows[i][c]·weights[i]) mod p` with the sum taken in
 /// 128 bits (wrapping mod 2¹²⁸ exactly like the scalar `u128`
@@ -571,6 +653,21 @@ mod scalar {
             let m = if r >= p { r - p } else { r };
             let s = *o + m;
             *o = if s >= p { s - p } else { s };
+        }
+    }
+
+    #[inline]
+    pub(super) fn pointwise_mul_mod(br: super::Barrett, a: &mut [u64], b: &[u64]) {
+        for (x, &y) in a.iter_mut().zip(b.iter()) {
+            *x = br.mul(*x, y);
+        }
+    }
+
+    #[inline]
+    pub(super) fn mac_mod(br: super::Barrett, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        for ((o, &x), &y) in acc.iter_mut().zip(a.iter()).zip(b.iter()) {
+            let s = *o + br.mul(x, y);
+            *o = if s >= br.p { s - br.p } else { s };
         }
     }
 
@@ -1195,6 +1292,21 @@ mod avx2 {
     pub(super) fn dot_mod(p: u64, rows: &[&[u64]], weights: &[u64], out: &mut [u64]) {
         super::scalar::dot_mod(p, rows, weights, out, 0);
     }
+
+    /// Unprepared products run the scalar Barrett loop, for the same
+    /// reason as [`dot_mod`]: both 64×64→128 products of the reduction
+    /// are full-width, and emulating them with `pmuludq` partial
+    /// products and carry chains costs more than two MULX per element.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn pointwise_mul_mod(br: super::Barrett, a: &mut [u64], b: &[u64]) {
+        super::scalar::pointwise_mul_mod(br, a, b);
+    }
+
+    /// See [`pointwise_mul_mod`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn mac_mod(br: super::Barrett, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        super::scalar::mac_mod(br, acc, a, b);
+    }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -1211,6 +1323,8 @@ mod avx2 {
     pub(super) fn pointwise_mul_shoup(_: u64, _: &mut [u64], _: &[u64], _: &[u64]) {}
     pub(super) fn mac_shoup(_: u64, _: &mut [u64], _: &[u64], _: &[u64], _: &[u64]) {}
     pub(super) fn dot_mod(_: u64, _: &[&[u64]], _: &[u64], _: &mut [u64]) {}
+    pub(super) fn pointwise_mul_mod(_: super::Barrett, _: &mut [u64], _: &[u64]) {}
+    pub(super) fn mac_mod(_: super::Barrett, _: &mut [u64], _: &[u64], _: &[u64]) {}
 }
 
 #[cfg(test)]
@@ -1251,6 +1365,64 @@ mod tests {
             *slot = edge;
         }
         v
+    }
+
+    /// NTT-friendly primes of 30–62 bits, the range the ring bases use.
+    fn ring_primes() -> Vec<u64> {
+        [30u32, 36, 45, 50, 55, 59, 60, 62]
+            .iter()
+            .map(|&bits| Modulus::find_ntt_prime(bits, 12).unwrap().value())
+            .chain([Modulus::PASTA_33_BIT.value(), Modulus::NTT_60_BIT.value()])
+            .collect()
+    }
+
+    #[test]
+    fn barrett_kernels_match_u128_remainder() {
+        for p in ring_primes() {
+            let pw = u128::from(p);
+            for seed in 0..4u64 {
+                let mut a = fill(67, p, seed);
+                let mut b = fill(67, p, seed + 29);
+                // Boundary residues against each other.
+                for (i, (x, y)) in [(0, 0), (1, p - 1), (p - 1, p - 1), (p - 1, 1), (0, p - 1)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    a[i + 4] = x;
+                    b[i + 4] = y;
+                }
+                let acc0 = fill(67, p, seed + 71);
+                let prod: Vec<u64> = a
+                    .iter()
+                    .zip(&b)
+                    .map(|(&x, &y)| (u128::from(x) * u128::from(y) % pw) as u64)
+                    .collect();
+                let mac: Vec<u64> = acc0
+                    .iter()
+                    .zip(&prod)
+                    .map(|(&c, &m)| ((u128::from(c) + u128::from(m)) % pw) as u64)
+                    .collect();
+                for backend in [Backend::Scalar, Backend::Avx2] {
+                    let mut got = a.clone();
+                    pointwise_mul_mod_with(backend, p, &mut got, &b);
+                    assert_eq!(got, prod, "p = {p}, {backend:?}");
+                    let mut acc = acc0.clone();
+                    mac_mod_with(backend, p, &mut acc, &a, &b);
+                    assert_eq!(acc, mac, "p = {p}, {backend:?}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_barrett_matches_u128_remainder(x in any::<u64>(), y in any::<u64>()) {
+            for p in ring_primes() {
+                let (x, y) = (x % p, y % p);
+                let expect = (u128::from(x) * u128::from(y) % u128::from(p)) as u64;
+                prop_assert_eq!(Barrett::new(p).mul(x, y), expect, "p = {}", p);
+            }
+        }
     }
 
     #[test]

@@ -157,6 +157,28 @@ impl Zp {
         ((u128::from(w) << 64) / u128::from(self.p())) as u64
     }
 
+    /// [`Zp::shoup`] of every canonical multiplicand in `ws`, without a
+    /// 128-bit division per element: with `v = ⌊2¹²⁸/p⌋` (one division
+    /// per call), `q̂ = ⌊w·v/2⁶⁴⌋` is `⌊w·2⁶⁴/p⌋` or one less, and the
+    /// remainder `w·2⁶⁴ − q̂·p ∈ [0, 2p)` (exact in wrapping u64
+    /// arithmetic, since `2p < 2⁶⁴`) says which.
+    #[must_use]
+    pub fn shoup_row(&self, ws: &[u64]) -> Vec<u64> {
+        let p = self.p();
+        let v = u128::MAX / u128::from(p);
+        let (v_hi, v_lo) = ((v >> 64) as u64, v as u64);
+        ws.iter()
+            .map(|&w| {
+                debug_assert!(w < p);
+                let q = w
+                    .wrapping_mul(v_hi)
+                    .wrapping_add(((u128::from(w) * u128::from(v_lo)) >> 64) as u64);
+                let r = q.wrapping_mul(p).wrapping_neg();
+                q + u64::from(r >= p)
+            })
+            .collect()
+    }
+
     /// Lazy Shoup product `a·w mod p` with the result in `[0, 2p)`.
     ///
     /// `w_shoup` must be [`Zp::shoup`]`(w)` with `w < p`; then for *any*
@@ -439,6 +461,19 @@ mod tests {
                 let lazy = zp.mul_shoup_lazy(a, w, w_shoup);
                 prop_assert!(lazy < 2 * zp.p(), "lazy range for p = {}", zp.p());
                 prop_assert_eq!(lazy % zp.p(), zp.mul(a, w));
+            }
+        }
+
+        #[test]
+        fn prop_shoup_row_matches_shoup(ws in proptest::collection::vec(any::<u64>(), 1..16)) {
+            let ntt_primes = [30u32, 45, 55, 62]
+                .map(|bits| Zp::new(Modulus::find_ntt_prime(bits, 12).unwrap()).unwrap());
+            for zp in fields().into_iter().chain(ntt_primes) {
+                let p = zp.p();
+                let mut row: Vec<u64> = ws.iter().map(|w| w % p).collect();
+                row.extend([0, 1, p / 2, p - 2, p - 1]);
+                let expect: Vec<u64> = row.iter().map(|&w| zp.shoup(w)).collect();
+                prop_assert_eq!(zp.shoup_row(&row), expect, "p = {}", p);
             }
         }
 
