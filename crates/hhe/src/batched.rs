@@ -18,15 +18,18 @@
 //!   *batched plaintext* whose slot `s` holds `M^{(s)}_{i,j}` — one
 //!   plaintext–ciphertext multiplication handles that entry for all `N`
 //!   blocks at once;
-//! - Mix and the S-boxes are slot-wise by construction; the S-box
-//!   squarings use the same full-RNS ciphertext multiplication as every
-//!   server mode (see [`pasta_fhe::rns_mul`]).
+//! - Mix and the S-boxes are slot-wise by construction, so the pass runs
+//!   the scalar server's circuit ([`crate::circuit`]) unchanged, with
+//!   only the affine step swapped for the slot-plaintext one.
 //!
 //! Per-ciphertext work rises (full `N log N` plaintext multiplications
 //! instead of scalar ones) but is amortized over `N` blocks — the
 //! throughput play of the original software, reproduced here.
 //!
-//! A cold window's material is built in three steps, each on the
+//! A window's material lives in the cache's slot-material section,
+//! keyed by the window's `(nonce, counter)` per slot — the same key
+//! shape the multiplexer uses for its heterogeneous slots. A cold
+//! window's material is built in three steps, each on the
 //! worker pool: the window's block entries come from one batch lookup
 //! ([`MaterialCache::blocks`], misses derived in parallel); each
 //! layer-half is transposed into slot-major rows; and each row is
@@ -40,7 +43,10 @@
 //! baby-step/giant-step machinery therefore applies only to the packed
 //! (position-in-lane) mode.
 
-use crate::cache::{BatchKey, BatchedEntry, BatchedHalf, BatchedLayer, BlockEntry, MaterialCache};
+use crate::cache::{
+    BatchedEntry, BatchedHalf, BatchedLayer, BlockEntry, MaterialCache, SlotMaterialKey,
+};
+use crate::circuit;
 use crate::client::EncryptedPastaKey;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{BatchEncoder, BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError};
@@ -122,24 +128,6 @@ impl BatchedHheServer {
         self.encoder.slots()
     }
 
-    /// Builds the prepared plaintext material for one batch window (see
-    /// [`prepare_slotted_material`]).
-    fn prepare_batch(
-        &self,
-        ctx: &BfvContext,
-        nonce: u128,
-        first_counter: u64,
-        blocks: usize,
-    ) -> BatchedEntry {
-        // Raw material and matrices come from the shared block section —
-        // the scalar and packed servers reuse the same entries.
-        let coords: Vec<(u128, u64)> = (0..blocks as u64)
-            .map(|s| (nonce, first_counter + s))
-            .collect();
-        let per_block = self.cache.blocks(&self.params, &coords);
-        prepare_slotted_material(ctx, &self.params, &self.encoder, &per_block)
-    }
-
     /// Homomorphically computes keystream blocks `first_counter ..
     /// first_counter + blocks` in one SIMD pass.
     ///
@@ -160,28 +148,19 @@ impl BatchedHheServer {
                 self.capacity()
             )));
         }
-        let t = self.params.t();
-
-        // Prepared plaintext material: encode + forward NTT paid once
-        // per (nonce, window), then served from the cache.
-        let key = BatchKey {
-            pasta: self.params,
-            bfv: *ctx.params(),
-            nonce,
-            first_counter,
-            blocks,
-        };
-        let prepared = self.cache.batched(&key, || {
-            self.prepare_batch(ctx, nonce, first_counter, blocks)
-        });
-
-        let positions = eval_slotted_circuit(
+        // Slot s carries block first_counter + s; the prepared material
+        // is paid once per (nonce, window), then served from the cache.
+        let window: Vec<(u128, u64)> = (0..blocks as u64)
+            .map(|s| (nonce, first_counter + s))
+            .collect();
+        let positions = slotted_keystream(
             ctx,
             &self.params,
             &self.relin_key,
-            &prepared,
-            &self.encrypted_key.elements[..t],
-            &self.encrypted_key.elements[t..],
+            &self.encoder,
+            &self.cache,
+            window,
+            &self.encrypted_key.elements,
         )?;
         Ok(BatchedBlocks {
             positions,
@@ -253,7 +232,7 @@ impl BatchedHheServer {
 /// per-cell encode reads one dense row instead of one word from each
 /// of `blocks` separate matrices. The transpose and the per-row
 /// encodes run on the worker pool.
-pub(crate) fn prepare_slotted_material(
+fn prepare_slotted_material(
     ctx: &BfvContext,
     params: &PastaParams,
     encoder: &BatchEncoder,
@@ -324,104 +303,67 @@ fn slot_major(per_block: &[&[u64]]) -> Vec<Vec<u64>> {
     .collect()
 }
 
-/// Evaluates the slot-parallel PASTA keystream circuit from prepared
-/// material and initial key-state halves, returning the `t` left
-/// positions after the final affine layer. Shared by the homogeneous
-/// batched server and the cross-tenant multiplexer (which feeds a
-/// slot-masked composed key instead of one tenant's replicated key).
+/// Evaluates the keystream circuit ([`crate::circuit`]) slot-parallel:
+/// slot `s` computes the keystream block of coordinate `slots[s]`
+/// under slot `s` of the `2t` key-state ciphertexts `key`, and the `t`
+/// left positions after the final affine layer come back. The slots'
+/// prepared material is looked up in (or built into) the cache's
+/// slot-material section. Shared by the homogeneous batched server (a
+/// contiguous counter window under one replicated key) and the
+/// cross-tenant multiplexer (any coordinates under a slot-masked
+/// composed key).
+///
+/// The affine step hoists the NTTs: each input ciphertext is converted
+/// once per layer-half instead of once per matrix entry, and every
+/// weight multiplies in NTT form.
 ///
 /// # Errors
 ///
 /// Returns [`FheError::Incompatible`] on malformed state halves;
 /// propagates FHE errors from the squarings.
-pub(crate) fn eval_slotted_circuit(
+pub(crate) fn slotted_keystream(
     ctx: &BfvContext,
     params: &PastaParams,
     relin_key: &BfvRelinKey,
-    prepared: &BatchedEntry,
-    initial_left: &[FheCiphertext],
-    initial_right: &[FheCiphertext],
+    encoder: &BatchEncoder,
+    cache: &MaterialCache,
+    slots: Vec<(u128, u64)>,
+    key: &[FheCiphertext],
 ) -> Result<Vec<FheCiphertext>, FheError> {
     let t = params.t();
-    let r = params.rounds();
-    let mut left = initial_left.to_vec();
-    let mut right = initial_right.to_vec();
-
-    for (layer, layer_prep) in prepared.layers.iter().enumerate() {
-        for is_left in [true, false] {
-            let half = if is_left { &left } else { &right };
-            let half_prep = if is_left {
-                &layer_prep.left
-            } else {
-                &layer_prep.right
-            };
-            if half.is_empty() {
-                return Err(FheError::Incompatible(
-                    "affine layer applied to an empty state half".into(),
-                ));
-            }
-            // Hoist the NTTs: each input ciphertext is converted
-            // once per layer instead of once per matrix entry.
-            let mut half_ntt = half.clone();
+    let material_key = SlotMaterialKey {
+        pasta: *params,
+        bfv: *ctx.params(),
+        slots,
+    };
+    let prepared = cache.slot_material(&material_key, || {
+        let per_slot = cache.blocks(params, &material_key.slots);
+        prepare_slotted_material(ctx, params, encoder, &per_slot)
+    });
+    circuit::eval_keystream(
+        ctx,
+        params,
+        relin_key,
+        &key[..t],
+        &key[t..],
+        |layer, is_left, half| {
+            let layer = &prepared.layers[layer];
+            let prep = if is_left { &layer.left } else { &layer.right };
+            let mut half_ntt = half.to_vec();
             for ct in &mut half_ntt {
                 ctx.to_ntt_ct(ct);
             }
-            let rows: Vec<usize> = (0..t).collect();
-            let out: Vec<FheCiphertext> =
-                pasta_par::parallel_map(&rows, |_, &i| -> Result<FheCiphertext, FheError> {
-                    let mut acc =
-                        ctx.mul_plain_prepared_ntt(&half_ntt[0], half_prep.weight(t, i, 0));
-                    for (j, ct) in half_ntt.iter().enumerate().skip(1) {
-                        ctx.add_mul_plain_ntt_assign(&mut acc, ct, half_prep.weight(t, i, j))?;
-                    }
-                    ctx.to_coeff_ct(&mut acc);
-                    // Batched round constant.
-                    ctx.add_plain_prepared_assign(&mut acc, &half_prep.rc[i]);
-                    Ok(acc)
-                })
-                .into_iter()
-                .collect::<Result<_, _>>()?;
-            if is_left {
-                left = out;
-            } else {
-                right = out;
-            }
-        }
-
-        if layer < r {
-            // Mix (slot-wise adds).
-            for (l, rgt) in left.iter_mut().zip(right.iter_mut()) {
-                let mut sum = l.clone();
-                ctx.add_assign(&mut sum, rgt)?;
-                ctx.add_assign(l, &sum)?;
-                ctx.add_assign(rgt, &sum)?;
-            }
-            // S-box over the concatenated state; the squarings fan
-            // out across the worker pool.
-            let mut full: Vec<FheCiphertext> = left.iter().chain(right.iter()).cloned().collect();
-            if layer == r - 1 {
-                full = pasta_par::parallel_map(&full, |_, x| {
-                    let sq = ctx.square_relin(x, relin_key)?;
-                    ctx.mul_relin(&sq, x, relin_key)
-                })
-                .into_iter()
-                .collect::<Result<_, _>>()?;
-            } else {
-                let squares: Vec<FheCiphertext> =
-                    pasta_par::parallel_map(&full[..2 * t - 1], |_, x| {
-                        ctx.square_relin(x, relin_key)
-                    })
-                    .into_iter()
-                    .collect::<Result<_, _>>()?;
-                for j in (1..2 * t).rev() {
-                    ctx.add_assign(&mut full[j], &squares[j - 1])?;
+            circuit::affine_rows(t, |i| {
+                let mut acc = ctx.mul_plain_prepared_ntt(&half_ntt[0], prep.weight(t, i, 0));
+                for (j, ct) in half_ntt.iter().enumerate().skip(1) {
+                    ctx.add_mul_plain_ntt_assign(&mut acc, ct, prep.weight(t, i, j))?;
                 }
-            }
-            left.clone_from_slice(&full[..t]);
-            right.clone_from_slice(&full[t..]);
-        }
-    }
-    Ok(left)
+                ctx.to_coeff_ct(&mut acc);
+                ctx.add_plain_prepared_assign(&mut acc, &prep.rc[i]);
+                Ok(acc)
+            })
+        },
+    )
 }
 
 /// Provisions the PASTA key for the batched server: each key ciphertext

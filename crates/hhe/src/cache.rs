@@ -11,18 +11,21 @@
 //! material for every ciphertext that touches the same
 //! `(nonce, counter)` window.
 //!
-//! [`MaterialCache`] memoizes five shapes of derived material behind
+//! [`MaterialCache`] memoizes four shapes of derived material behind
 //! small LRU sections:
 //!
 //! - **blocks** — [`BlockEntry`]: the raw [`BlockMaterial`] plus the
 //!   materialized per-layer matrices, keyed by
-//!   `(PastaParams, nonce, counter)`. Shared by all three server modes
-//!   (the SIMD builders read their matrix entries from here).
-//! - **batched** — [`BatchedEntry`]: per-layer, per-half `t × t`
+//!   `(PastaParams, nonce, counter)`. Shared by every server mode (the
+//!   scalar server reads its weights from here, and the SIMD builders
+//!   read their matrix entries from here).
+//! - **slot material** — [`BatchedEntry`]: per-layer, per-half `t × t`
 //!   [`PreparedPlaintext`] weights and `t` round-constant
-//!   [`ScaledPlaintext`]s for the slot-parallel server, keyed
-//!   additionally by the [`BfvParams`] and the `(first_counter, blocks)`
-//!   window.
+//!   [`ScaledPlaintext`]s for the slot-parallel circuit, keyed by
+//!   [`SlotMaterialKey`]: the [`BfvParams`] plus the `(nonce, counter)`
+//!   coordinate of every slot. The batched server's slots are a
+//!   contiguous counter window under one nonce; the cross-tenant
+//!   multiplexer's are any member blocks.
 //! - **packed** — [`PackedEntry`]: the per-layer diagonal plaintexts
 //!   (naive per-diagonal, or plaintext-pre-rotated into baby-step/
 //!   giant-step groups — see [`PackedStrategy`]) and the concatenated
@@ -31,10 +34,8 @@
 //!   cross-tenant key ciphertexts of one multiplexing bucket
 //!   composition, keyed by [`CompositionKey`] (the ordered
 //!   `(tenant, blocks)` slot layout).
-//! - **slot material** — a [`BatchedEntry`] whose slot `s` carries an
-//!   *independent* `(nonce, counter)` coordinate, keyed by
-//!   [`SlotMaterialKey`] — the heterogeneous generalization of the
-//!   batched section used by the cross-tenant multiplexer.
+//!
+//! The circuit those shapes feed is written once, in [`crate::circuit`].
 //!
 //! Every section is byte-budgeted: entries carry an approximate resident
 //! size (`approx_*_bytes`) and eviction fires on *either* the entry-count
@@ -79,22 +80,6 @@ pub struct BlockKey {
     pub nonce: u128,
     /// Block counter.
     pub counter: u64,
-}
-
-/// Cache key for a batched (SIMD) window of prepared plaintexts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchKey {
-    /// The PASTA parameter set.
-    pub pasta: PastaParams,
-    /// The BFV parameters the plaintexts were encoded under (the RNS
-    /// basis and NTT tables are deterministic functions of these).
-    pub bfv: BfvParams,
-    /// Session nonce.
-    pub nonce: u128,
-    /// First block counter of the batch window.
-    pub first_counter: u64,
-    /// Number of blocks batched into the slots.
-    pub blocks: usize,
 }
 
 /// How the packed server groups the affine-layer diagonals (the choice
@@ -274,15 +259,16 @@ pub struct ComposedKeyEntry {
     pub elements: Vec<FheCiphertext>,
 }
 
-/// Cache key for heterogeneous per-slot batched material: slot `s`
-/// carries the affine material of coordinate `slots[s]` — unlike
-/// [`BatchKey`], the slots need not share a nonce or form a contiguous
-/// counter window.
+/// Cache key for per-slot prepared material: slot `s` carries the
+/// affine material of coordinate `slots[s]`. The slots may form one
+/// contiguous counter window (the batched server) or come from many
+/// nonces (the multiplexer).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotMaterialKey {
     /// The PASTA parameter set.
     pub pasta: PastaParams,
-    /// The BFV parameters the plaintexts were encoded under.
+    /// The BFV parameters the plaintexts were encoded under (the RNS
+    /// basis and NTT tables are deterministic functions of these).
     pub bfv: BfvParams,
     /// `(nonce, counter)` per occupied slot, in slot order (the
     /// unoccupied tail is implicit).
@@ -377,25 +363,22 @@ impl<K: PartialEq + Clone, V> Lru<K, V> {
 
 /// Default capacity of the raw block-material section.
 pub const DEFAULT_BLOCK_CAPACITY: usize = 256;
-/// Default capacity of the batched prepared-plaintext section (entries
-/// are large: `layers · 2 · (t² + t)` prepared polynomials each).
-pub const DEFAULT_BATCHED_CAPACITY: usize = 8;
 /// Default capacity of the packed prepared-diagonal section.
 pub const DEFAULT_PACKED_CAPACITY: usize = 64;
 /// Default capacity of the composed-key section (one entry per live
 /// bucket composition; compositions repeat under steady load).
 pub const DEFAULT_COMPOSED_CAPACITY: usize = 8;
-/// Default capacity of the heterogeneous slot-material section.
+/// Default capacity of the slot-material section (entries are large:
+/// `layers · 2 · (t² + t)` prepared polynomials each).
 pub const DEFAULT_SLOT_MATERIAL_CAPACITY: usize = 8;
 
 /// The shared plaintext-material cache (see the module docs).
 #[derive(Debug)]
 pub struct MaterialCache {
     blocks: Mutex<Lru<BlockKey, BlockEntry>>,
-    batched: Mutex<Lru<BatchKey, BatchedEntry>>,
+    slot_material: Mutex<Lru<SlotMaterialKey, BatchedEntry>>,
     packed: Mutex<Lru<PackedKey, PackedEntry>>,
     composed: Mutex<Lru<CompositionKey, ComposedKeyEntry>>,
-    slot_material: Mutex<Lru<SlotMaterialKey, BatchedEntry>>,
 }
 
 impl Default for MaterialCache {
@@ -418,28 +401,28 @@ impl MaterialCache {
     pub fn new() -> Self {
         Self::with_capacities(
             DEFAULT_BLOCK_CAPACITY,
-            DEFAULT_BATCHED_CAPACITY,
+            DEFAULT_SLOT_MATERIAL_CAPACITY,
             DEFAULT_PACKED_CAPACITY,
         )
     }
 
     /// A cache with explicit per-section entry capacities (each clamped
-    /// to at least one entry; byte caps unbounded). The multiplexer
-    /// sections get their default capacities.
+    /// to at least one entry; byte caps unbounded): `batched` bounds the
+    /// slot-material section the batched and multiplexed servers share.
+    /// The composed-key section gets its default capacity.
     #[must_use]
     pub fn with_capacities(blocks: usize, batched: usize, packed: usize) -> Self {
         MaterialCache {
             blocks: Mutex::new(Lru::new(blocks, usize::MAX)),
-            batched: Mutex::new(Lru::new(batched, usize::MAX)),
+            slot_material: Mutex::new(Lru::new(batched, usize::MAX)),
             packed: Mutex::new(Lru::new(packed, usize::MAX)),
             composed: Mutex::new(Lru::new(DEFAULT_COMPOSED_CAPACITY, usize::MAX)),
-            slot_material: Mutex::new(Lru::new(DEFAULT_SLOT_MATERIAL_CAPACITY, usize::MAX)),
         }
     }
 
     /// A cache bounded by an approximate total byte budget, split across
-    /// the sections (blocks ¼, batched ¼, packed ¼, composed keys ⅛,
-    /// slot material ⅛). Entry counts are generous — the byte caps
+    /// the sections (blocks ¼, slot material ⅜, packed ¼, composed keys
+    /// ⅛). Entry counts are generous — the byte caps
     /// govern — and every section keeps at least its most recent entry,
     /// so a starved budget degrades to single-entry memoization instead
     /// of breaking.
@@ -450,10 +433,9 @@ impl MaterialCache {
         let eighth = (budget / 8).max(1);
         MaterialCache {
             blocks: Mutex::new(Lru::new(4096, quarter)),
-            batched: Mutex::new(Lru::new(1024, quarter)),
+            slot_material: Mutex::new(Lru::new(1024, quarter + eighth)),
             packed: Mutex::new(Lru::new(1024, quarter)),
             composed: Mutex::new(Lru::new(1024, eighth)),
-            slot_material: Mutex::new(Lru::new(1024, eighth)),
         }
     }
 
@@ -511,18 +493,6 @@ impl MaterialCache {
             .collect()
     }
 
-    /// The batched prepared material for `key`, built by `build` on a
-    /// miss (the builder runs under the section lock; see module docs).
-    #[must_use]
-    pub fn batched(
-        &self,
-        key: &BatchKey,
-        build: impl FnOnce() -> BatchedEntry,
-    ) -> Arc<BatchedEntry> {
-        let bytes = approx_batched_entry_bytes(&key.pasta, &key.bfv);
-        lock(&self.batched).get_or_insert_with(key, bytes, build)
-    }
-
     /// The packed prepared material for `key`, built by `build` on a
     /// miss.
     #[must_use]
@@ -543,8 +513,8 @@ impl MaterialCache {
         lock(&self.composed).get_or_insert_with(key, bytes, build)
     }
 
-    /// The heterogeneous per-slot batched material for `key`, built by
-    /// `build` on a miss.
+    /// The per-slot prepared material for `key`, built by `build` on a
+    /// miss (the builder runs under the section lock; see module docs).
     #[must_use]
     pub fn slot_material(
         &self,
@@ -555,15 +525,14 @@ impl MaterialCache {
         lock(&self.slot_material).get_or_insert_with(key, bytes, build)
     }
 
-    /// Aggregate hit/miss counters across all five sections.
+    /// Aggregate hit/miss counters across all four sections.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         let sections = [
             lock(&self.blocks).stats(),
-            lock(&self.batched).stats(),
+            lock(&self.slot_material).stats(),
             lock(&self.packed).stats(),
             lock(&self.composed).stats(),
-            lock(&self.slot_material).stats(),
         ];
         let mut out = CacheStats::default();
         for s in sections {
@@ -573,14 +542,13 @@ impl MaterialCache {
         out
     }
 
-    /// Approximate resident bytes across all five sections.
+    /// Approximate resident bytes across all four sections.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         lock(&self.blocks).bytes
-            + lock(&self.batched).bytes
+            + lock(&self.slot_material).bytes
             + lock(&self.packed).bytes
             + lock(&self.composed).bytes
-            + lock(&self.slot_material).bytes
     }
 }
 
@@ -620,7 +588,7 @@ pub fn approx_ciphertext_bytes(bfv: &BfvParams) -> usize {
     2 * bfv.n * bfv.prime_count * 8
 }
 
-/// Approximate resident size (bytes) of one [`BatchedEntry`] (also the
+/// Approximate resident size (bytes) of one [`BatchedEntry`] (the
 /// slot-material shape): per layer and half, `t²` prepared weights and
 /// `t` scaled round constants.
 #[must_use]
@@ -654,8 +622,8 @@ pub struct ShardedCacheConfig {
     /// Total memory budget (bytes) across all resident tenant shards.
     /// Each shard is a [`MaterialCache::with_budget`] of the slice
     /// `budget_bytes / max_resident`, so *every* cache shape — raw block
-    /// entries, batched/packed prepared plaintexts, and the multiplexer's
-    /// composed keys and slot material — counts against the budget.
+    /// entries, slot material and packed prepared plaintexts, and the
+    /// multiplexer's composed keys — counts against the budget.
     pub budget_bytes: usize,
     /// Maximum number of tenant shards kept resident; the least recently
     /// used shard beyond this is evicted whole.
@@ -957,27 +925,25 @@ mod tests {
         let p = params();
         let bfv = BfvParams::test_tiny();
         let per_batched = approx_batched_entry_bytes(&p, &bfv);
-        // A budget whose batched slice (¼) holds exactly one batched
+        // A budget whose slot-material slice (⅜) holds exactly one
         // entry: a batched-heavy tenant must evict its older windows
         // instead of accumulating them invisibly.
         let sharded = ShardedCache::new(ShardedCacheConfig {
-            budget_bytes: per_batched * 6,
+            budget_bytes: per_batched * 4,
             max_resident: 1,
         });
         let shard = sharded.shard(3);
-        let key = |first_counter: u64| BatchKey {
+        let key = |first_counter: u64| SlotMaterialKey {
             pasta: p,
             bfv,
-            nonce: 5,
-            first_counter,
-            blocks: 2,
+            slots: vec![(5, first_counter), (5, first_counter + 1)],
         };
         let entry = || BatchedEntry { layers: Vec::new() };
-        let a = shard.batched(&key(0), entry);
-        let _ = shard.batched(&key(2), entry); // evicts window 0 (bytes)
-        assert!(shard.approx_bytes() <= per_batched * 6);
+        let a = shard.slot_material(&key(0), entry);
+        let _ = shard.slot_material(&key(2), entry); // evicts window 0 (bytes)
+        assert!(shard.approx_bytes() <= per_batched * 4);
         let misses = shard.stats().misses;
-        let a_again = shard.batched(&key(0), entry);
+        let a_again = shard.slot_material(&key(0), entry);
         assert_eq!(shard.stats().misses, misses + 1, "window 0 was evicted");
         assert!(!Arc::ptr_eq(&a, &a_again));
         // Composed-key entries are sized too.

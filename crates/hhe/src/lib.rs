@@ -8,6 +8,10 @@
 //! - [`server`]: homomorphic evaluation of the PASTA decryption circuit —
 //!   the *transciphering* step that turns compact symmetric ciphertexts
 //!   into FHE ciphertexts the cloud can compute on;
+//! - `circuit` (private): the one home of that circuit's layer schedule
+//!   — affine, Mix, Feistel/cube S-box, truncation — shared by the
+//!   scalar, batched and multiplexed servers, each of which passes in
+//!   only its affine step;
 //! - [`batched`]: the SIMD throughput mode (`N` blocks per ciphertext);
 //! - [`mux`]: cross-tenant slot multiplexing — blocks from *different*
 //!   sessions packed into one shared batched pass via slot-masked key
@@ -19,6 +23,10 @@
 //! - [`cache`]: the shared plaintext-material cache memoizing derived
 //!   matrices, round constants and their NTT-prepared encodings across
 //!   transciphering calls.
+//!
+//! [`packed`] keeps its own evaluator of the same circuit: its whole
+//! state lives in one ciphertext, so its Mix and S-box are lane
+//! rotations.
 //!
 //! # Examples
 //!
@@ -53,6 +61,7 @@
 
 pub mod batched;
 pub mod cache;
+mod circuit;
 pub mod client;
 pub mod link;
 pub mod mux;

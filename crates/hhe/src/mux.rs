@@ -27,8 +27,9 @@
 //!   and counters are fine — see
 //!   [`crate::cache::SlotMaterialKey`]).
 //! - **One pass.** The composed key and heterogeneous material feed the
-//!   exact same slot-parallel circuit as the batched server; results
-//!   demux back to members by slot range.
+//!   exact same slot-parallel circuit as the batched server (one
+//!   slot-material lookup plus [`crate::circuit`]); results demux back
+//!   to members by slot range.
 //!
 //! **Trust prerequisite:** every member's key must be encrypted under
 //! the *same* FHE secret key (the analyst's), since their ciphertexts
@@ -41,8 +42,8 @@
 //! compositions pay the masking multiplies and the encode+NTT work
 //! once.
 
-use crate::batched::{eval_slotted_circuit, prepare_slotted_material};
-use crate::cache::{ComposedKeyEntry, CompositionKey, MaterialCache, SlotMaterialKey};
+use crate::batched::slotted_keystream;
+use crate::cache::{ComposedKeyEntry, CompositionKey, MaterialCache};
 use crate::client::EncryptedPastaKey;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{
@@ -293,23 +294,14 @@ impl MuxHheServer {
                 slots.push((m.ct.nonce(), b as u64));
             }
         }
-        let material_key = SlotMaterialKey {
-            pasta: self.params,
-            bfv: *ctx.params(),
-            slots: slots.clone(),
-        };
-        let prepared = self.cache.slot_material(&material_key, || {
-            let per_slot = self.cache.blocks(&self.params, &slots);
-            prepare_slotted_material(ctx, &self.params, &self.encoder, &per_slot)
-        });
-
-        let ks = eval_slotted_circuit(
+        let ks = slotted_keystream(
             ctx,
             &self.params,
             &self.relin_key,
-            &prepared,
-            &composed.elements[..t],
-            &composed.elements[t..],
+            &self.encoder,
+            &self.cache,
+            slots,
+            &composed.elements,
         )?;
 
         // Demux-side subtraction: slot s of position i carries message
@@ -355,7 +347,17 @@ pub fn retrieve_muxed(
     let encoder =
         BatchEncoder::new(ctx.params().plain_modulus, ctx.params().n).map_err(FheError::from)?;
     let t = positions.len();
-    if t == 0 || range.elements > range.blocks * t || range.start + range.blocks > encoder.slots() {
+    // `SlotRange` fields are public: a hostile range must be refused,
+    // not overflow.
+    let fits = range
+        .start
+        .checked_add(range.blocks)
+        .is_some_and(|end| end <= encoder.slots())
+        && range
+            .blocks
+            .checked_mul(t)
+            .is_some_and(|cells| range.elements <= cells);
+    if t == 0 || !fits {
         return Err(FheError::Incompatible(
             "slot range does not fit the muxed positions".into(),
         ));
@@ -371,4 +373,36 @@ pub fn retrieve_muxed(
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pasta_fhe::BfvParams;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn overflowing_slot_ranges_are_refused() {
+        let ctx = BfvContext::new(BfvParams::test_tiny()).unwrap();
+        let sk = ctx.generate_secret_key(&mut StdRng::seed_from_u64(5));
+        let positions = vec![ctx.encrypt_trivial(&ctx.encode_scalar(0)); 4];
+        let range = |start, blocks| SlotRange {
+            start,
+            blocks,
+            elements: 1,
+        };
+        // `start + blocks` overflows; `blocks · t` overflows; and no
+        // positions at all.
+        for (positions, range) in [
+            (&positions[..], range(usize::MAX, 1)),
+            (&positions[..], range(0, usize::MAX)),
+            (&[][..], range(0, 1)),
+        ] {
+            assert!(matches!(
+                retrieve_muxed(&ctx, &sk, positions, range),
+                Err(FheError::Incompatible(_))
+            ));
+        }
+    }
 }

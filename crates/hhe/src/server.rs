@@ -5,13 +5,14 @@
 //! round constants are functions of the nonce/counter only) and evaluates
 //! the PASTA decryption circuit under FHE:
 //!
-//! - affine layers become plaintext-scalar multiplications and additions
-//!   on key ciphertexts;
-//! - Mix is additions;
-//! - the Feistel/cube S-boxes are the expensive part — each squaring is a
-//!   ciphertext–ciphertext multiplication plus relinearization, riding
-//!   the full-RNS path of [`pasta_fhe::rns_mul`] (`PASTA_MUL=bigint`
-//!   swaps in the exact bigint oracle);
+//! - the circuit itself — Mix, Feistel/cube S-boxes, truncation — is the
+//!   one in [`crate::circuit`], shared with the batched and multiplexed
+//!   servers; its S-box squarings ride the full-RNS path of
+//!   [`pasta_fhe::rns_mul`] (`PASTA_MUL=bigint` swaps in the exact
+//!   bigint oracle);
+//! - this server's affine layers are plaintext-scalar multiplications
+//!   and additions on key ciphertexts — one block per pass, so no
+//!   encoded plaintexts and no NTTs outside the squarings;
 //! - finally `Enc(m) = Δ·c − Enc(KS)`: the symmetric ciphertext enters as
 //!   a public constant.
 //!
@@ -27,10 +28,10 @@
 //! strategy (see [`crate::packed::required_shifts`]).
 
 use crate::cache::MaterialCache;
+use crate::circuit;
 use crate::client::EncryptedPastaKey;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError};
-use pasta_math::linalg::Matrix;
 use std::sync::Arc;
 
 /// The HHE server state: FHE context, relinearization key, the client's
@@ -105,6 +106,10 @@ impl HheServer {
     /// Homomorphically computes the keystream block for
     /// `(nonce, counter)`: FHE ciphertexts of `KS_0 … KS_{t-1}`.
     ///
+    /// Runs the shared circuit ([`crate::circuit`]) with scalar weights:
+    /// `out_i = Σ_j M_ij·ct_j + rc_i`, the matrix and round constants
+    /// read from the material cache.
+    ///
     /// # Errors
     ///
     /// Propagates FHE errors (relinearization on malformed keys).
@@ -115,26 +120,32 @@ impl HheServer {
         counter: u64,
     ) -> Result<Vec<FheCiphertext>, FheError> {
         let t = self.params.t();
-        let r = self.params.rounds();
         let entry = self.cache.block(&self.params, nonce, counter);
-        let mut left = self.encrypted_key.elements[..t].to_vec();
-        let mut right = self.encrypted_key.elements[t..].to_vec();
-        for (i, (layer, mats)) in entry
-            .material
-            .layers
-            .iter()
-            .zip(entry.matrices.iter())
-            .enumerate()
-        {
-            left = Self::affine_half(ctx, &left, &mats.left, &layer.rc_left)?;
-            right = Self::affine_half(ctx, &right, &mats.right, &layer.rc_right)?;
-            if i < r {
-                Self::mix(ctx, &mut left, &mut right)?;
-                let is_final_round = i == r - 1;
-                self.sbox(ctx, &mut left, &mut right, is_final_round)?;
-            }
-        }
-        Ok(left) // truncation
+        let key = &self.encrypted_key.elements;
+        circuit::eval_keystream(
+            ctx,
+            &self.params,
+            &self.relin_key,
+            &key[..t],
+            &key[t..],
+            |layer, is_left, half| {
+                let (matrices, material) = (&entry.matrices[layer], &entry.material.layers[layer]);
+                let (matrix, rc) = if is_left {
+                    (&matrices.left, &material.rc_left)
+                } else {
+                    (&matrices.right, &material.rc_right)
+                };
+                circuit::affine_rows(half.len().min(rc.len()), |i| {
+                    let row = matrix.row(i);
+                    let mut acc = ctx.mul_scalar(&half[0], row[0]);
+                    for (j, ct) in half.iter().enumerate().skip(1) {
+                        ctx.add_assign(&mut acc, &ctx.mul_scalar(ct, row[j]))?;
+                    }
+                    ctx.add_scalar_assign(&mut acc, rc[i]);
+                    Ok(acc)
+                })
+            },
+        )
     }
 
     /// Transciphers one PASTA ciphertext into FHE ciphertexts of the
@@ -163,90 +174,6 @@ impl HheServer {
             out.append(&mut ks);
         }
         Ok(out)
-    }
-
-    /// One affine layer on one half: `out_i = Σ_j M_ij·ct_j + rc_i`.
-    ///
-    /// The matrix comes from the material cache; output rows are
-    /// independent, so the `t`-ciphertext fan-out runs on the worker
-    /// pool (`PASTA_THREADS`) — bit-exact for any thread count.
-    fn affine_half(
-        ctx: &BfvContext,
-        half: &[FheCiphertext],
-        matrix: &Matrix,
-        rc: &[u64],
-    ) -> Result<Vec<FheCiphertext>, FheError> {
-        let t = half.len();
-        if half.is_empty() {
-            return Err(FheError::Incompatible(
-                "affine layer applied to an empty state half".into(),
-            ));
-        }
-        let rows: Vec<usize> = (0..t.min(rc.len())).collect();
-        pasta_par::parallel_map(&rows, |_, &i| {
-            let row = matrix.row(i);
-            let mut acc = ctx.mul_scalar(&half[0], row[0]);
-            for (j, ct) in half.iter().enumerate().skip(1) {
-                let term = ctx.mul_scalar(ct, row[j]);
-                ctx.add_assign(&mut acc, &term)?;
-            }
-            ctx.add_scalar_assign(&mut acc, rc[i]);
-            Ok(acc)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Mix: `(2L + R, 2R + L)` element-wise with additions only.
-    fn mix(
-        ctx: &BfvContext,
-        left: &mut [FheCiphertext],
-        right: &mut [FheCiphertext],
-    ) -> Result<(), FheError> {
-        for (l, r) in left.iter_mut().zip(right.iter_mut()) {
-            let mut sum = l.clone();
-            ctx.add_assign(&mut sum, r)?;
-            ctx.add_assign(l, &sum)?;
-            ctx.add_assign(r, &sum)?;
-        }
-        Ok(())
-    }
-
-    /// S-box over the concatenated state. The squarings (ciphertext ×
-    /// ciphertext multiplications — the expensive part of the circuit)
-    /// fan out across the worker pool.
-    fn sbox(
-        &self,
-        ctx: &BfvContext,
-        left: &mut [FheCiphertext],
-        right: &mut [FheCiphertext],
-        is_final_round: bool,
-    ) -> Result<(), FheError> {
-        let t = left.len();
-        let mut full: Vec<FheCiphertext> = left.iter().chain(right.iter()).cloned().collect();
-        if is_final_round {
-            // Cube: x³ = relin(x²)·x, relinearized again.
-            full = pasta_par::parallel_map(&full, |_, x| {
-                let sq = ctx.square_relin(x, &self.relin_key)?;
-                ctx.mul_relin(&sq, x, &self.relin_key)
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        } else {
-            // Feistel: y_0 = x_0, y_j = x_j + x_{j-1}² on input values.
-            let squares: Vec<FheCiphertext> =
-                pasta_par::parallel_map(&full[..2 * t - 1], |_, x| {
-                    ctx.square_relin(x, &self.relin_key)
-                })
-                .into_iter()
-                .collect::<Result<_, _>>()?;
-            for j in (1..2 * t).rev() {
-                ctx.add_assign(&mut full[j], &squares[j - 1])?;
-            }
-        }
-        left.clone_from_slice(&full[..t]);
-        right.clone_from_slice(&full[t..]);
-        Ok(())
     }
 }
 

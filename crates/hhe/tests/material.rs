@@ -1,7 +1,7 @@
-//! Output pinning for the slot-material pipeline: the batched, packed
-//! and multiplexed transciphers must produce exactly the ciphertexts
-//! pinned below — digests of the full residue rows, taken from the
-//! per-cell material builder this pipeline replaced — for every
+//! Output pinning for the transcipher paths: the scalar, batched,
+//! packed and multiplexed transciphers must produce exactly the
+//! ciphertexts pinned below — digests of the full residue rows, taken
+//! before the circuit and its material pipeline were shared — for every
 //! `PASTA_THREADS` and SIMD backend; and the slot-major builder must
 //! equal a per-cell reference build entry for entry.
 //!
@@ -11,7 +11,7 @@
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BatchEncoder, BfvContext, BfvParams, Ciphertext as FheCiphertext};
-use pasta_hhe::cache::{BatchKey, BatchedEntry, BatchedHalf, BatchedLayer, BlockEntry};
+use pasta_hhe::cache::{BatchedEntry, BatchedHalf, BatchedLayer, BlockEntry, SlotMaterialKey};
 use pasta_hhe::{
     provision_batched_key, BatchedHheServer, HheClient, HheServer, MuxHheServer, MuxMember,
     PackedHheServer,
@@ -36,6 +36,7 @@ const LEGS: [(&str, simd::Backend); 3] = [
 const BATCHED_DIGEST: [u64; 2] = [14_005_192_064_810_210_487, 3_815_222_266_864_700_181];
 const MUX_DIGEST: [u64; 2] = [16_766_940_818_783_496_359, 18_120_823_608_469_800_905];
 const PACKED_DIGEST: [u64; 2] = [5_946_588_110_377_792_806, 10_209_740_303_129_418_048];
+const SCALAR_DIGEST: [u64; 2] = [9_532_823_937_476_424_398, 14_266_699_431_547_258_188];
 
 fn pinned(digests: [u64; 2]) -> u64 {
     let bigint = std::env::var(pasta_fhe::bfv::MUL_BACKEND_ENV).is_ok_and(|v| v == "bigint");
@@ -127,6 +128,20 @@ fn mux_output() -> Vec<FheCiphertext> {
     mux.transcipher_mux(&ctx, &members).unwrap().positions
 }
 
+fn scalar_output() -> Vec<FheCiphertext> {
+    let ctx = bfv(4);
+    let mut rng = StdRng::seed_from_u64(0x5CA1);
+    let sk = ctx.generate_secret_key(&mut rng);
+    let pk = ctx.generate_public_key(&sk, &mut rng);
+    let relin = ctx.generate_relin_key(&sk, &mut rng);
+    let client = HheClient::new(params(), b"material digest");
+    let server =
+        HheServer::new(params(), relin, client.provision_key(&ctx, &pk, &mut rng)).unwrap();
+    // Two blocks, the second partial.
+    let ct = client.encrypt(0x5CA1, &[3, 1, 4, 1, 5, 9, 2]).unwrap();
+    server.transcipher(&ctx, &ct).unwrap()
+}
+
 fn packed_output() -> Vec<FheCiphertext> {
     let ctx = bfv(8);
     let mut rng = StdRng::seed_from_u64(909);
@@ -161,6 +176,17 @@ fn mux_output_matches_the_pinned_digest() {
         assert_eq!(
             with_leg(leg, || digest(&mux_output())),
             pinned(MUX_DIGEST),
+            "leg {leg:?}"
+        );
+    }
+}
+
+#[test]
+fn scalar_output_matches_the_pinned_digest() {
+    for leg in LEGS {
+        assert_eq!(
+            with_leg(leg, || digest(&scalar_output())),
+            pinned(SCALAR_DIGEST),
             "leg {leg:?}"
         );
     }
@@ -253,16 +279,14 @@ fn slot_major_material_equals_the_per_cell_reference() {
                     .unwrap();
             let server = BatchedHheServer::new(params, &ctx, relin, ek).unwrap();
             let _ = server.keystream_batch(&ctx, nonce, 0, blocks).unwrap();
-            let key = BatchKey {
+            let key = SlotMaterialKey {
                 pasta: params,
                 bfv: *ctx.params(),
-                nonce,
-                first_counter: 0,
-                blocks,
+                slots: (0..blocks as u64).map(|c| (nonce, c)).collect(),
             };
             server
                 .cache()
-                .batched(&key, || panic!("the window's material must be cached"))
+                .slot_material(&key, || panic!("the window's material must be cached"))
         });
         assert!(*built == reference, "leg {leg:?}");
     }

@@ -40,8 +40,8 @@ use pasta_fhe::{
     BfvContext, BfvParams, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext, FheError,
 };
 use pasta_hhe::{
-    retrieve_muxed, EncryptedPastaKey, HheServer, MuxHheServer, MuxMember, MuxedBlocks,
-    ShardedCache, ShardedCacheConfig, SlotRange,
+    retrieve_muxed, EncryptedPastaKey, HheServer, MuxHheServer, MuxMember, ShardedCache,
+    ShardedCacheConfig, SlotRange,
 };
 use pasta_pipeline::guard::NoiseBudgetGuard;
 use pasta_pipeline::pack;
@@ -162,6 +162,8 @@ struct QueuedRequest {
     frame_id: u32,
     counter_base: u32,
     ct: PastaCiphertext,
+    /// PASTA blocks the payload spans (`⌈elements / t⌉`).
+    blocks: usize,
     enqueued_us: u64,
     deadline_us: u64,
 }
@@ -177,29 +179,31 @@ enum FlushCause {
     Drain,
 }
 
-/// One planned multiplexed pass: the members it serves, their slot
-/// layout, and why it flushed.
+/// One planned multiplexed pass: its domain, its members' slot layout
+/// (in member order), and why it flushed.
 struct BucketPlan {
     domain: u64,
     cause: FlushCause,
-    members: Vec<QueuedRequest>,
     assignments: Vec<SlotAssignment>,
     total_blocks: usize,
     capacity: usize,
 }
 
-/// One unit of work a scheduling round hands to a worker slot.
-enum RoundUnit {
-    /// A private per-tenant transcipher pass.
-    Scalar(QueuedRequest),
-    /// A shared cross-tenant multiplexed pass.
-    Bucket(BucketPlan),
+/// One unit of work a scheduling round hands to a worker slot: a
+/// private per-tenant transcipher pass (one member, no bucket) or a
+/// shared cross-tenant multiplexed pass.
+struct RoundUnit {
+    members: Vec<QueuedRequest>,
+    bucket: Option<BucketPlan>,
 }
 
-/// What one worker slot produced, mirrored to the unit shape.
-enum UnitOutcome {
-    Scalar(Result<Vec<FheCiphertext>, RefusalReason>),
-    Bucket(Result<MuxedBlocks, RefusalReason>),
+impl RoundUnit {
+    fn private(req: QueuedRequest) -> Self {
+        RoundUnit {
+            members: vec![req],
+            bucket: None,
+        }
+    }
 }
 
 /// Per-tenant server-side state.
@@ -640,6 +644,7 @@ impl PastaServer {
             nonce: frame.nonce,
             frame_id: frame.frame_id,
             counter_base: frame.counter_base,
+            blocks: ct.len().div_ceil(t.params.t().max(1)).max(1),
             ct,
             enqueued_us: now_us,
             deadline_us,
@@ -731,190 +736,84 @@ impl PastaServer {
             // Re-attach the involved cache shards so shard eviction
             // between rounds actually frees memory.
             for unit in &units {
-                match unit {
-                    RoundUnit::Scalar(req) => {
+                if let Some(plan) = &unit.bucket {
+                    if let Some(d) = self.domains.get_mut(&plan.domain) {
+                        d.mux
+                            .set_cache(self.cache.shard(DOMAIN_SHARD_BIT | plan.domain));
+                    }
+                } else {
+                    for req in &unit.members {
                         if let Some(t) = self.tenants.get_mut(&req.tenant) {
                             t.hhe.set_cache(self.cache.shard(req.tenant));
                         }
                     }
-                    RoundUnit::Bucket(plan) => {
-                        if let Some(d) = self.domains.get_mut(&plan.domain) {
-                            d.mux
-                                .set_cache(self.cache.shard(DOMAIN_SHARD_BIT | plan.domain));
-                        }
-                    }
                 }
             }
-            let tenants = &self.tenants;
-            let domains = &self.domains;
-            let fault_plan = &self.fault_plan;
             // The worker pool: the real FHE transciphering fans out
             // here. Panics — injected or real — are caught inside each
             // per-unit closure (a panic reaching the pool's scope join
             // would take the whole service down). A faulting bucket
             // takes all its members down together — they shared one
             // pass — and each gets a retryable WorkerFault NACK.
-            let results: Vec<UnitOutcome> = pasta_par::parallel_map(&units, |_, unit| {
-                catch_unwind(AssertUnwindSafe(|| match unit {
-                    RoundUnit::Scalar(req) => {
-                        if fault_plan.contains(&req.seq) {
-                            // audit: allow(panic, reason = "fault-injection hook: the panic is contained by the surrounding catch_unwind and surfaced as a typed WorkerFault NACK")
-                            panic!("injected worker fault on request {}", req.seq);
-                        }
-                        let Some(t) = tenants.get(&req.tenant) else {
-                            return UnitOutcome::Scalar(Err(RefusalReason::WorkerFault));
-                        };
-                        UnitOutcome::Scalar(
-                            t.hhe
-                                .transcipher(&t.ctx, &req.ct)
-                                .map_err(|_| RefusalReason::WorkerFault),
-                        )
-                    }
-                    RoundUnit::Bucket(plan) => {
-                        if let Some(req) = plan
-                            .members
-                            .iter()
-                            .find(|req| fault_plan.contains(&req.seq))
-                        {
-                            // audit: allow(panic, reason = "fault-injection hook: the panic is contained by the surrounding catch_unwind and surfaced as typed WorkerFault NACKs for every bucket member")
-                            panic!("injected worker fault on request {}", req.seq);
-                        }
-                        let Some(d) = domains.get(&plan.domain) else {
-                            return UnitOutcome::Bucket(Err(RefusalReason::WorkerFault));
-                        };
-                        let mut members = Vec::with_capacity(plan.members.len());
-                        for req in &plan.members {
-                            let Some(t) = tenants.get(&req.tenant) else {
-                                return UnitOutcome::Bucket(Err(RefusalReason::WorkerFault));
-                            };
-                            members.push(MuxMember {
-                                tenant: req.tenant,
-                                encrypted_key: t.hhe.encrypted_key(),
-                                ct: &req.ct,
-                            });
-                        }
-                        UnitOutcome::Bucket(
-                            d.mux
-                                .transcipher_mux(&d.ctx, &members)
-                                .map_err(|_| RefusalReason::WorkerFault),
-                        )
-                    }
-                }))
-                .unwrap_or(match unit {
-                    RoundUnit::Scalar(_) => UnitOutcome::Scalar(Err(RefusalReason::WorkerFault)),
-                    RoundUnit::Bucket(_) => UnitOutcome::Bucket(Err(RefusalReason::WorkerFault)),
-                })
+            let this = &*self;
+            let results = pasta_par::parallel_map(&units, |_, unit| {
+                catch_unwind(AssertUnwindSafe(|| this.serve_unit(unit)))
+                    .unwrap_or(Err(RefusalReason::WorkerFault))
             });
             let mut round_len_us = 1;
-            for (unit, outcome) in units.into_iter().zip(results) {
-                match unit {
-                    RoundUnit::Scalar(req) => {
-                        let block_size = self
-                            .tenants
-                            .get(&req.tenant)
-                            .map_or(1, |t| t.params.t().max(1));
-                        let blocks = req.ct.len().div_ceil(block_size).max(1) as u64;
-                        let service_us = blocks * self.cfg.service_us_per_block.max(1);
-                        round_len_us = round_len_us.max(service_us);
-                        let completed_us = round_start + service_us;
-                        self.fault_plan.remove(&req.seq);
-                        // A mismatched outcome cannot happen (the pool
-                        // preserves order) but must still NACK, never
-                        // drop: fold it into the fault path.
-                        let result = match outcome {
-                            UnitOutcome::Scalar(result) => result,
-                            UnitOutcome::Bucket(_) => Err(RefusalReason::WorkerFault),
-                        };
-                        match result {
-                            Ok(result) => {
-                                self.stats.completed += 1;
-                                events.push(ServerEvent::Completed(Completion {
-                                    seq: req.seq,
-                                    tenant: req.tenant,
-                                    nonce: req.nonce,
-                                    frame_id: req.frame_id,
-                                    counter_base: req.counter_base,
-                                    result: CompletionResult::Scalar(result),
-                                    accepted_us: req.enqueued_us,
-                                    completed_us,
-                                }));
-                            }
-                            Err(reason) => {
-                                self.stats.worker_faults += 1;
-                                events.push(ServerEvent::Refused {
-                                    seq: req.seq,
-                                    tenant: req.tenant,
-                                    reason,
-                                    nack: WireFrame::nack_with_reason(
-                                        req.frame_id,
-                                        req.counter_base,
-                                        reason,
-                                    ),
-                                    at_us: completed_us,
-                                });
-                            }
+            for (unit, result) in units.into_iter().zip(results) {
+                let service_us = match &unit.bucket {
+                    Some(_) => self.cfg.multiplex.service_us_per_pass.max(1),
+                    None => {
+                        let blocks: usize = unit.members.iter().map(|req| req.blocks).sum();
+                        blocks as u64 * self.cfg.service_us_per_block.max(1)
+                    }
+                };
+                round_len_us = round_len_us.max(service_us);
+                let completed_us = round_start + service_us;
+                for req in &unit.members {
+                    self.fault_plan.remove(&req.seq);
+                }
+                // A short result list cannot happen, but must still
+                // NACK, never drop: fold it into the fault path.
+                let result = result.and_then(|results| {
+                    (results.len() == unit.members.len())
+                        .then_some(results)
+                        .ok_or(RefusalReason::WorkerFault)
+                });
+                match result {
+                    Ok(results) => {
+                        if let Some(plan) = &unit.bucket {
+                            self.record_bucket(plan);
+                        }
+                        for (req, result) in unit.members.into_iter().zip(results) {
+                            self.stats.completed += 1;
+                            events.push(ServerEvent::Completed(Completion {
+                                seq: req.seq,
+                                tenant: req.tenant,
+                                nonce: req.nonce,
+                                frame_id: req.frame_id,
+                                counter_base: req.counter_base,
+                                result,
+                                accepted_us: req.enqueued_us,
+                                completed_us,
+                            }));
                         }
                     }
-                    RoundUnit::Bucket(plan) => {
-                        let service_us = self.cfg.multiplex.service_us_per_pass.max(1);
-                        round_len_us = round_len_us.max(service_us);
-                        let completed_us = round_start + service_us;
-                        for req in &plan.members {
-                            self.fault_plan.remove(&req.seq);
-                        }
-                        let result = match outcome {
-                            UnitOutcome::Bucket(result) => result,
-                            UnitOutcome::Scalar(_) => Err(RefusalReason::WorkerFault),
-                        };
-                        match result {
-                            Ok(muxed) => {
-                                self.stats.mux_buckets += 1;
-                                match plan.cause {
-                                    FlushCause::Full => self.stats.flush_full += 1,
-                                    FlushCause::Deadline => self.stats.flush_deadline += 1,
-                                    FlushCause::Drain => self.stats.flush_drain += 1,
-                                }
-                                self.stats.mux_blocks += plan.total_blocks as u64;
-                                let fill = (plan.total_blocks * 1000) / plan.capacity.max(1);
-                                self.bucket_fill_permille
-                                    .push(u32::try_from(fill).unwrap_or(0));
-                                let positions = Arc::new(muxed.positions);
-                                for (req, assignment) in
-                                    plan.members.into_iter().zip(plan.assignments)
-                                {
-                                    self.stats.completed += 1;
-                                    self.stats.mux_requests += 1;
-                                    events.push(ServerEvent::Completed(Completion {
-                                        seq: req.seq,
-                                        tenant: req.tenant,
-                                        nonce: req.nonce,
-                                        frame_id: req.frame_id,
-                                        counter_base: req.counter_base,
-                                        result: CompletionResult::Muxed {
-                                            positions: Arc::clone(&positions),
-                                            assignment,
-                                        },
-                                        accepted_us: req.enqueued_us,
-                                        completed_us,
-                                    }));
-                                }
-                            }
-                            Err(reason) => {
-                                for req in plan.members {
-                                    self.stats.worker_faults += 1;
-                                    events.push(ServerEvent::Refused {
-                                        seq: req.seq,
-                                        tenant: req.tenant,
-                                        reason,
-                                        nack: WireFrame::nack_with_reason(
-                                            req.frame_id,
-                                            req.counter_base,
-                                            reason,
-                                        ),
-                                        at_us: completed_us,
-                                    });
-                                }
-                            }
+                    Err(reason) => {
+                        for req in unit.members {
+                            self.stats.worker_faults += 1;
+                            events.push(ServerEvent::Refused {
+                                seq: req.seq,
+                                tenant: req.tenant,
+                                reason,
+                                nack: WireFrame::nack_with_reason(
+                                    req.frame_id,
+                                    req.counter_base,
+                                    reason,
+                                ),
+                                at_us: completed_us,
+                            });
                         }
                     }
                 }
@@ -922,6 +821,78 @@ impl PastaServer {
             self.pool_free_us = round_start + round_len_us;
         }
         events
+    }
+
+    /// Serves one round unit on a worker: one [`CompletionResult`] per
+    /// member, in member order, or the refusal every member gets.
+    fn serve_unit(&self, unit: &RoundUnit) -> Result<Vec<CompletionResult>, RefusalReason> {
+        if let Some(req) = unit
+            .members
+            .iter()
+            .find(|req| self.fault_plan.contains(&req.seq))
+        {
+            // audit: allow(panic, reason = "fault-injection hook: the panic is contained by the surrounding catch_unwind and surfaced as typed WorkerFault NACKs for every member of the unit")
+            panic!("injected worker fault on request {}", req.seq);
+        }
+        let fault = |_| RefusalReason::WorkerFault;
+        let tenant = |req: &QueuedRequest| {
+            self.tenants
+                .get(&req.tenant)
+                .ok_or(RefusalReason::WorkerFault)
+        };
+        let Some(plan) = &unit.bucket else {
+            let [req] = unit.members.as_slice() else {
+                return Err(RefusalReason::WorkerFault);
+            };
+            let t = tenant(req)?;
+            let cts = t.hhe.transcipher(&t.ctx, &req.ct).map_err(fault)?;
+            return Ok(vec![CompletionResult::Scalar(cts)]);
+        };
+        let d = self
+            .domains
+            .get(&plan.domain)
+            .ok_or(RefusalReason::WorkerFault)?;
+        let members = unit
+            .members
+            .iter()
+            .map(|req| {
+                Ok(MuxMember {
+                    tenant: req.tenant,
+                    encrypted_key: tenant(req)?.hhe.encrypted_key(),
+                    ct: &req.ct,
+                })
+            })
+            .collect::<Result<Vec<_>, RefusalReason>>()?;
+        let positions = Arc::new(
+            d.mux
+                .transcipher_mux(&d.ctx, &members)
+                .map_err(fault)?
+                .positions,
+        );
+        Ok(plan
+            .assignments
+            .iter()
+            .map(|&assignment| CompletionResult::Muxed {
+                positions: Arc::clone(&positions),
+                assignment,
+            })
+            .collect())
+    }
+
+    /// Counts one served bucket: its flush cause, carried blocks, member
+    /// requests and slot fill.
+    fn record_bucket(&mut self, plan: &BucketPlan) {
+        self.stats.mux_buckets += 1;
+        match plan.cause {
+            FlushCause::Full => self.stats.flush_full += 1,
+            FlushCause::Deadline => self.stats.flush_deadline += 1,
+            FlushCause::Drain => self.stats.flush_drain += 1,
+        }
+        self.stats.mux_blocks += plan.total_blocks as u64;
+        self.stats.mux_requests += plan.assignments.len() as u64;
+        let fill = (plan.total_blocks * 1000) / plan.capacity.max(1);
+        self.bucket_fill_permille
+            .push(u32::try_from(fill).unwrap_or(0));
     }
 
     /// Sheds every queued request whose deadline passed before
@@ -974,9 +945,11 @@ impl PastaServer {
             }
         }
         let remaining = workers.saturating_sub(units.len());
-        for req in self.select_scalar(round_start, remaining, mux_on) {
-            units.push(RoundUnit::Scalar(req));
-        }
+        units.extend(
+            self.select_scalar(round_start, remaining, mux_on)
+                .into_iter()
+                .map(RoundUnit::private),
+        );
         (units, next_decision)
     }
 
@@ -984,16 +957,17 @@ impl PastaServer {
     /// flushable ones to `units` (bounded by `workers` slots).
     ///
     /// Candidates are every member tenant's runnable FIFO queue prefix,
-    /// gathered tenant-ascending, and greedily split in that order into
+    /// taken tenant-ascending, and greedily split in that order into
     /// buckets of at most `cap` blocks. Every bucket but the last is
     /// full by construction and flushes as [`FlushCause::Full`]; the
     /// final (partial) bucket flushes only when the deadline or linger
     /// trigger has fired, otherwise the earlier of the two trigger
     /// instants is merged into `next_decision` and the bucket waits.
-    /// Served candidates always form a per-tenant queue prefix, so
-    /// popping by per-tenant count preserves FIFO order. A request too
-    /// large for any bucket (`blocks > cap`) becomes its own scalar
-    /// unit so it cannot starve the queue behind it.
+    /// A request too large for any bucket (`blocks > cap`) becomes its
+    /// own private unit so it cannot starve the queue behind it. Units
+    /// are served in order up to the free worker slots; the candidates
+    /// not served are a suffix of the taken ones, so pushing them back
+    /// in reverse restores every tenant's FIFO order.
     fn plan_domain(
         &mut self,
         domain: u64,
@@ -1002,192 +976,105 @@ impl PastaServer {
         units: &mut Vec<RoundUnit>,
         next_decision: &mut Option<u64>,
     ) {
-        struct Cand {
-            tenant: TenantId,
-            blocks: usize,
-            elements: usize,
-            enqueued_us: u64,
-            deadline_us: u64,
-        }
-        enum Group {
-            Bucket {
-                cands: Vec<Cand>,
-                total_blocks: usize,
-                cause: FlushCause,
-            },
-            Oversized(Cand),
-        }
         let Some(d) = self.domains.get(&domain) else {
             return;
         };
-        let t = d.pasta.t().max(1);
         let cap = self
             .cfg
             .multiplex
             .max_bucket_blocks
             .max(1)
             .min(d.mux.capacity().max(1));
-        let mut cands: Vec<Cand> = Vec::new();
-        for (&id, tenant) in &self.tenants {
-            if tenant.domain != Some(domain) {
-                continue;
-            }
-            for req in tenant
+        let mut cands: Vec<QueuedRequest> = Vec::new();
+        for t in self
+            .tenants
+            .values_mut()
+            .filter(|t| t.domain == Some(domain))
+        {
+            while t
                 .queue
-                .iter()
-                .take_while(|r| r.enqueued_us <= round_start)
+                .front()
+                .is_some_and(|r| r.enqueued_us <= round_start)
             {
-                let elements = req.ct.len();
-                cands.push(Cand {
-                    tenant: id,
-                    blocks: elements.div_ceil(t).max(1),
-                    elements,
-                    enqueued_us: req.enqueued_us,
-                    deadline_us: req.deadline_us,
-                });
+                cands.extend(t.queue.pop_front());
             }
         }
-        if cands.is_empty() {
-            return;
-        }
-        // Greedy split into groups, in candidate order.
-        let mut groups: Vec<Group> = Vec::new();
-        let mut current: Vec<Cand> = Vec::new();
+        let bucket = |members: Vec<QueuedRequest>, cause: FlushCause| {
+            let mut assignments = Vec::with_capacity(members.len());
+            let mut start = 0usize;
+            for req in &members {
+                assignments.push(SlotAssignment {
+                    tenant: req.tenant,
+                    session: req.nonce,
+                    seq: req.seq,
+                    range: SlotRange {
+                        start,
+                        blocks: req.blocks,
+                        elements: req.ct.len(),
+                    },
+                });
+                start += req.blocks;
+            }
+            RoundUnit {
+                members,
+                bucket: Some(BucketPlan {
+                    domain,
+                    cause,
+                    assignments,
+                    total_blocks: start,
+                    capacity: cap,
+                }),
+            }
+        };
+        // Greedy split into units, in candidate order.
+        let mut planned: Vec<RoundUnit> = Vec::new();
+        let mut current: Vec<QueuedRequest> = Vec::new();
         let mut current_blocks = 0usize;
-        for cand in cands {
-            if cand.blocks > cap {
-                if !current.is_empty() {
-                    groups.push(Group::Bucket {
-                        cands: std::mem::take(&mut current),
-                        total_blocks: current_blocks,
-                        cause: FlushCause::Full,
-                    });
-                    current_blocks = 0;
-                }
-                groups.push(Group::Oversized(cand));
-                continue;
-            }
-            if current_blocks + cand.blocks > cap {
-                groups.push(Group::Bucket {
-                    cands: std::mem::take(&mut current),
-                    total_blocks: current_blocks,
-                    cause: FlushCause::Full,
-                });
+        for req in cands {
+            let oversized = req.blocks > cap;
+            if !current.is_empty() && (oversized || current_blocks + req.blocks > cap) {
+                planned.push(bucket(std::mem::take(&mut current), FlushCause::Full));
                 current_blocks = 0;
             }
-            current_blocks += cand.blocks;
-            current.push(cand);
-        }
-        if !current.is_empty() {
-            groups.push(Group::Bucket {
-                cands: current,
-                total_blocks: current_blocks,
-                cause: FlushCause::Full,
-            });
+            if oversized {
+                planned.push(RoundUnit::private(req));
+            } else {
+                current_blocks += req.blocks;
+                current.push(req);
+            }
         }
         // Decide the trailing partial bucket's fate.
-        if let Some(Group::Bucket {
-            cands,
-            total_blocks,
-            cause,
-        }) = groups.last_mut()
-        {
-            if *total_blocks < cap {
-                let min_deadline = cands.iter().map(|c| c.deadline_us).min().unwrap_or(0);
-                let max_enqueued = cands.iter().map(|c| c.enqueued_us).max().unwrap_or(0);
-                let deadline_at = min_deadline.saturating_sub(self.cfg.multiplex.flush_margin_us);
-                let drain_at = max_enqueued.saturating_add(self.cfg.multiplex.linger_us);
-                if deadline_at <= round_start {
-                    *cause = FlushCause::Deadline;
-                } else if drain_at <= round_start {
-                    *cause = FlushCause::Drain;
-                } else {
-                    let at = deadline_at.min(drain_at);
-                    *next_decision = Some(next_decision.map_or(at, |cur| cur.min(at)));
-                    groups.pop();
-                }
+        let mut lingering = Vec::new();
+        if !current.is_empty() {
+            let min_deadline = current.iter().map(|r| r.deadline_us).min().unwrap_or(0);
+            let max_enqueued = current.iter().map(|r| r.enqueued_us).max().unwrap_or(0);
+            let deadline_at = min_deadline.saturating_sub(self.cfg.multiplex.flush_margin_us);
+            let drain_at = max_enqueued.saturating_add(self.cfg.multiplex.linger_us);
+            if current_blocks >= cap {
+                planned.push(bucket(current, FlushCause::Full));
+            } else if deadline_at <= round_start {
+                planned.push(bucket(current, FlushCause::Deadline));
+            } else if drain_at <= round_start {
+                planned.push(bucket(current, FlushCause::Drain));
+            } else {
+                let at = deadline_at.min(drain_at);
+                *next_decision = Some(next_decision.map_or(at, |cur| cur.min(at)));
+                lingering = current;
             }
         }
-        // Serve groups in order, stopping at the first that does not
-        // fit: later candidates must not be served before earlier ones
-        // of the same tenant.
-        let mut served: Vec<Group> = Vec::new();
-        let mut pop_counts: BTreeMap<TenantId, usize> = BTreeMap::new();
-        for group in groups {
-            if units.len() + served.len() >= workers {
-                break;
-            }
-            match &group {
-                Group::Bucket { cands, .. } => {
-                    for c in cands {
-                        *pop_counts.entry(c.tenant).or_insert(0) += 1;
-                    }
-                }
-                Group::Oversized(c) => {
-                    *pop_counts.entry(c.tenant).or_insert(0) += 1;
-                }
-            }
-            served.push(group);
-        }
-        if served.is_empty() {
-            return;
-        }
-        // Pop each tenant's served prefix, then re-distribute the
-        // requests to their groups in candidate order.
-        let mut popped: BTreeMap<TenantId, VecDeque<QueuedRequest>> = BTreeMap::new();
-        for (&tenant, &count) in &pop_counts {
-            if let Some(t) = self.tenants.get_mut(&tenant) {
-                let mut reqs = VecDeque::with_capacity(count);
-                for _ in 0..count {
-                    if let Some(req) = t.queue.pop_front() {
-                        reqs.push_back(req);
-                    }
-                }
-                popped.insert(tenant, reqs);
-            }
-        }
-        for group in served {
-            match group {
-                Group::Bucket {
-                    cands,
-                    total_blocks,
-                    cause,
-                } => {
-                    let mut members = Vec::with_capacity(cands.len());
-                    let mut assignments = Vec::with_capacity(cands.len());
-                    let mut start = 0usize;
-                    for c in cands {
-                        let Some(req) = popped.get_mut(&c.tenant).and_then(VecDeque::pop_front)
-                        else {
-                            continue;
-                        };
-                        assignments.push(SlotAssignment {
-                            tenant: req.tenant,
-                            session: req.nonce,
-                            seq: req.seq,
-                            range: SlotRange {
-                                start,
-                                blocks: c.blocks,
-                                elements: c.elements,
-                            },
-                        });
-                        start += c.blocks;
-                        members.push(req);
-                    }
-                    units.push(RoundUnit::Bucket(BucketPlan {
-                        domain,
-                        cause,
-                        members,
-                        assignments,
-                        total_blocks,
-                        capacity: cap,
-                    }));
-                }
-                Group::Oversized(c) => {
-                    if let Some(req) = popped.get_mut(&c.tenant).and_then(VecDeque::pop_front) {
-                        units.push(RoundUnit::Scalar(req));
-                    }
-                }
+        // Serve units in order while worker slots remain: later
+        // candidates must not be served before earlier ones of the same
+        // tenant.
+        let served = planned.len().min(workers.saturating_sub(units.len()));
+        let unserved = planned.split_off(served);
+        units.extend(planned);
+        let requeue = unserved
+            .into_iter()
+            .flat_map(|u| u.members)
+            .chain(lingering);
+        for req in requeue.rev() {
+            if let Some(t) = self.tenants.get_mut(&req.tenant) {
+                t.queue.push_front(req);
             }
         }
     }

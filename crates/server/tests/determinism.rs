@@ -1,7 +1,9 @@
 //! Determinism under load: same seed and same `PASTA_THREADS` must
 //! reproduce the identical `LoadReport` — counters, latency percentiles,
-//! and the plaintext digest — bit for bit; and the report must not
-//! depend on the thread count or the SIMD backend at all. The serial
+//! and the plaintext digest — bit for bit; the report must not depend on
+//! the thread count or the SIMD backend at all; and it must equal the
+//! pinned digests below, so a changed round plan cannot pass by merely
+//! replaying itself. The serial
 //! legs force the scalar kernels and the threaded legs force AVX2
 //! (falling back to scalar off x86), so the digest comparison pins
 //! both dimensions at once.
@@ -12,6 +14,19 @@
 
 use pasta_math::simd;
 use pasta_server::{run_loadgen, LoadReport, LoadgenConfig};
+
+/// FNV-1a over the `Debug` rendering of the backend-free reports of
+/// `LoadgenConfig::quick()` and `quick().with_multiplex()`.
+const QUICK_REPORT_DIGEST: u64 = 1_497_912_632_491_106_327;
+const MUX_REPORT_DIGEST: u64 = 16_734_099_615_306_989_206;
+
+fn digest(report: &LoadReport) -> u64 {
+    format!("{:?}", sans_backend(report))
+        .bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+}
 
 fn with_threads<T>(n: &str, f: impl FnOnce() -> T) -> T {
     std::env::set_var(pasta_par::THREADS_ENV, n);
@@ -55,6 +70,8 @@ fn load_report_replays_bit_for_bit() {
          depend on PASTA_THREADS or the SIMD backend"
     );
 
+    assert_eq!(digest(&single), QUICK_REPORT_DIGEST, "quick report drifted");
+
     let mut reseeded = LoadgenConfig::quick();
     reseeded.seed = 8;
     let other = with_threads("1", || run_loadgen(&reseeded).unwrap());
@@ -74,6 +91,7 @@ fn load_report_replays_bit_for_bit() {
         "the multiplexed report must not depend on PASTA_THREADS or the \
          SIMD backend"
     );
+    assert_eq!(digest(&mux_single), MUX_REPORT_DIGEST, "mux report drifted");
     assert!(
         mux_single.mux_buckets > 0 && mux_single.mux_requests > 0,
         "the multiplexed scenario must actually multiplex"
