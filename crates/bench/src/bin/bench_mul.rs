@@ -11,6 +11,9 @@
 //!   merging any committed `before` entries so the JSON holds
 //!   before/after pairs plus speedup factors.
 //!
+//! Both phases measure every available SIMD backend; the options, the
+//! timer and the report path are [`pasta_bench::report`]'s.
+//!
 //! Usage:
 //!
 //! ```text
@@ -20,62 +23,16 @@
 //! bench_mul --out-dir target/bench    # write JSON elsewhere (default .)
 //! ```
 
-use pasta_bench::report::BenchReport;
-use pasta_fhe::{BfvContext, BfvParams, Ciphertext, MUL_BACKEND_ENV};
-use pasta_math::simd;
+use pasta_bench::report::{for_each_backend, BenchOptions, BenchReport, Phase};
+use pasta_fhe::{BfvContext, BfvParams, MUL_BACKEND_ENV};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::time::Instant;
 
-struct Options {
-    phase: String,
-    quick: bool,
-    out_dir: String,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        phase: "after".to_string(),
-        quick: false,
-        out_dir: ".".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--phase" => opts.phase = args.next().unwrap_or_else(|| "after".to_string()),
-            "--quick" => opts.quick = true,
-            "--out-dir" => {
-                if let Some(d) = args.next() {
-                    opts.out_dir = d;
-                }
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if opts.phase != "before" && opts.phase != "after" {
-        eprintln!("--phase must be 'before' or 'after', got '{}'", opts.phase);
-        std::process::exit(2);
-    }
-    opts
-}
-
-/// Times `reps` calls of `f`, returning ns per call.
-fn time_op(reps: u64, mut f: impl FnMut() -> Ciphertext) -> f64 {
-    black_box(f()); // warm-up (NTT tables, allocator, caches)
-    let start = Instant::now();
-    for _ in 0..reps {
-        black_box(f());
-    }
-    start.elapsed().as_nanos() as f64 / reps as f64
-}
-
-/// Benchmarks mul / square / mul_relin on one parameter set, pushing
-/// wall times under `tag` (e.g. `N=1024/k=6`).
-fn bench_set(report: &mut BenchReport, phase: &str, quick: bool, bfv: BfvParams, tag: &str) {
+/// Benchmarks mul / square / mul_relin on one parameter set under every
+/// available SIMD backend, pushing wall times under `tag` (e.g.
+/// `N=1024/k=6`).
+fn bench_set(run: &BenchOptions, report: &mut BenchReport, bfv: BfvParams, tag: &str) {
     let ctx = BfvContext::new(bfv).expect("context");
     let mut rng = StdRng::seed_from_u64(0xA11CE);
     let sk = ctx.generate_secret_key(&mut rng);
@@ -90,72 +47,44 @@ fn bench_set(report: &mut BenchReport, phase: &str, quick: bool, bfv: BfvParams,
     };
     let a = random_ct(&mut rng);
     let b = random_ct(&mut rng);
-    let reps: u64 = if quick { 2 } else { 20 };
-
-    // Measure every available SIMD backend in-process; on non-AVX2
-    // machines the forced-Avx2 leg resolves to scalar and is skipped.
-    for backend in [simd::Backend::Scalar, simd::Backend::Avx2] {
-        if simd::force_backend(Some(backend)) != backend {
-            continue;
-        }
-        type Op<'a> = Box<dyn FnMut() -> Ciphertext + 'a>;
-        let ops: [(&str, Op); 3] = [
-            ("mul", Box::new(|| ctx.mul(&a, &b).expect("mul"))),
-            ("square", Box::new(|| ctx.square(&a).expect("square"))),
-            (
-                "mul_relin",
-                Box::new(|| ctx.mul_relin(&a, &b, &rk).expect("mul_relin")),
-            ),
-        ];
-        for (op, f) in ops {
-            let ns = time_op(reps, f);
-            let id = format!("{op}/{tag}");
-            println!("{id}: {ns:.0} ns/iter [{phase}, {}]", backend.label());
-            report.push_backend(id, phase, backend.label(), ns);
-        }
-    }
-    simd::force_backend(None);
+    for_each_backend(|| {
+        run.time(report, format!("mul/{tag}"), || {
+            black_box(ctx.mul(&a, &b).expect("mul"));
+        });
+        run.time(report, format!("square/{tag}"), || {
+            black_box(ctx.square(&a).expect("square"));
+        });
+        run.time(report, format!("mul_relin/{tag}"), || {
+            black_box(ctx.mul_relin(&a, &b, &rk).expect("mul_relin"));
+        });
+    });
 }
 
 fn main() {
-    let opts = parse_args();
-    let path = format!("{}/BENCH_mul.json", opts.out_dir);
+    let run = BenchOptions::from_env();
 
     // The phase *is* the backend: force the dispatch in `BfvContext::mul`
     // rather than calling internal entry points, so the measured path is
     // exactly what library users hit.
-    if opts.phase == "before" {
-        std::env::set_var(MUL_BACKEND_ENV, "bigint");
-    } else {
-        std::env::remove_var(MUL_BACKEND_ENV);
+    match run.phase {
+        Phase::Before => std::env::set_var(MUL_BACKEND_ENV, "bigint"),
+        Phase::After => std::env::remove_var(MUL_BACKEND_ENV),
     }
 
-    let mut report = BenchReport::new(
+    let mut report = run.open(
         "mul",
         "BFV ciphertext multiplication: exact bigint CRT round-trip (before) vs \
          full-RNS BEHZ base conversion (after); ns per call",
     );
-    if opts.phase == "after" {
-        if let Ok(prev) = std::fs::read_to_string(&path) {
-            report.merge_phase_from(&prev, "before");
-        }
-    }
 
     // Unit-test scale: N = 256, four 50-bit primes.
-    bench_set(
-        &mut report,
-        &opts.phase,
-        opts.quick,
-        BfvParams::test_tiny(),
-        "N=256/k=4",
-    );
+    bench_set(&run, &mut report, BfvParams::test_tiny(), "N=256/k=4");
 
     // Paper scale: the transcipher-demo ring at N = 1024 — six 55-bit
     // primes, the q used by the end-to-end PASTA workflow.
     bench_set(
+        &run,
         &mut report,
-        &opts.phase,
-        opts.quick,
         BfvParams {
             n: 1_024,
             ..BfvParams::transcipher_demo()
@@ -163,12 +92,5 @@ fn main() {
         "N=1024/k=6",
     );
 
-    std::fs::write(&path, report.to_json()).expect("write bench report");
-    println!("wrote {path}");
-    for (id, backend, factor) in report.speedups() {
-        println!("speedup {id} ({backend}): {factor:.2}x");
-    }
-    for (id, factor) in report.backend_speedups() {
-        println!("avx2-vs-scalar {id}: {factor:.2}x");
-    }
+    run.finish(&mut report);
 }

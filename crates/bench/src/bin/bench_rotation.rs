@@ -24,64 +24,32 @@
 //! bench_rotation --phase after --quick    # CI smoke mode (short windows)
 //! bench_rotation --out-dir target/bench   # write JSON elsewhere (default .)
 //! ```
+//!
+//! The options, the timer and the report path are
+//! [`pasta_bench::report`]'s.
 
-use pasta_bench::report::BenchReport;
+use pasta_bench::report::{BenchOptions, BenchReport, Phase};
 use pasta_core::PastaParams;
-use pasta_fhe::{BfvContext, BfvParams, BfvSecretKey};
+use pasta_fhe::{BfvContext, BfvParams};
 use pasta_hhe::{HheClient, PackedHheServer, PackedStrategy};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
-struct Options {
-    phase: String,
-    quick: bool,
-    out_dir: String,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        phase: "after".to_string(),
-        quick: false,
-        out_dir: ".".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--phase" => opts.phase = args.next().unwrap_or_else(|| "after".to_string()),
-            "--quick" => opts.quick = true,
-            "--out-dir" => {
-                if let Some(d) = args.next() {
-                    opts.out_dir = d;
-                }
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if opts.phase != "before" && opts.phase != "after" {
-        eprintln!("--phase must be 'before' or 'after', got '{}'", opts.phase);
-        std::process::exit(2);
-    }
-    opts
-}
-
-struct Setup {
-    ctx: BfvContext,
-    #[allow(dead_code)]
-    sk: BfvSecretKey,
-    client: HheClient,
-    server: PackedHheServer,
-}
-
-/// Builds a packed server for the given PASTA/BFV sizes and strategy.
-fn build(pasta: PastaParams, bfv: BfvParams, strategy: PackedStrategy, seed: u64) -> Setup {
+/// Benchmarks the packed server for one parameter set under `strategy`,
+/// pushing wall times and rotation-work counts under `tag` (e.g.
+/// `t=4/N=256`).
+fn bench_packed(
+    run: &BenchOptions,
+    report: &mut BenchReport,
+    pasta: PastaParams,
+    bfv: BfvParams,
+    strategy: PackedStrategy,
+    tag: &str,
+) {
     let ctx = BfvContext::new(bfv).expect("context");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(0xB0B0);
     let sk = ctx.generate_secret_key(&mut rng);
     let client = HheClient::new(pasta, b"bench rotation");
     let server = PackedHheServer::new_with_strategy(
@@ -93,117 +61,64 @@ fn build(pasta: PastaParams, bfv: BfvParams, strategy: PackedStrategy, seed: u64
         &mut rng,
     )
     .expect("packed server");
-    Setup {
-        ctx,
-        sk,
-        client,
-        server,
-    }
-}
-
-/// Benchmarks one parameter set under `strategy`, pushing wall times and
-/// rotation-work counts under `tag` (e.g. `t=4/N=256`).
-fn bench_packed(
-    report: &mut BenchReport,
-    phase: &str,
-    quick: bool,
-    pasta: PastaParams,
-    bfv: BfvParams,
-    strategy: PackedStrategy,
-    tag: &str,
-) {
-    let s = build(pasta, bfv, strategy, 0xB0B0);
     let t = pasta.t();
     let message: Vec<u64> = (0..t as u64).map(|i| (i * 7_177 + 13) % 65_537).collect();
-    let reps: u64 = if quick { 1 } else { 3 };
 
     // Cold transcipher: fresh nonce per call, so the per-block material
     // (diagonal preparation included) is rebuilt every time.
     let mut nonce = 0x4000u128;
-    let warm_up = s.client.encrypt(nonce, &message).expect("encrypt");
-    black_box(
-        s.server
-            .transcipher_packed(&s.ctx, &warm_up, 0)
-            .expect("transcipher"),
-    );
-    let start = Instant::now();
-    for _ in 0..reps {
+    run.time(report, format!("packed_transcipher/{tag}/cold"), || {
         nonce += 1;
-        let ct = s.client.encrypt(nonce, &message).expect("encrypt");
+        let ct = client.encrypt(nonce, &message).expect("encrypt");
         black_box(
-            s.server
-                .transcipher_packed(&s.ctx, &ct, 0)
+            server
+                .transcipher_packed(&ctx, &ct, 0)
                 .expect("transcipher"),
         );
-    }
-    let cold = start.elapsed().as_nanos() as f64 / reps as f64;
-    let id = format!("packed_transcipher/{tag}/cold");
-    println!("{id}: {cold:.0} ns/iter [{phase}]");
-    report.push(id, phase, cold);
+    });
 
     // Warm transcipher: repeated nonce, material served from the cache —
     // isolates the rotation/key-switch work from preparation.
-    let fixed = s.client.encrypt(0xF00F, &message).expect("encrypt");
-    black_box(
-        s.server
-            .transcipher_packed(&s.ctx, &fixed, 0)
-            .expect("transcipher"),
-    );
-    let start = Instant::now();
-    for _ in 0..reps {
+    let fixed = client.encrypt(0xF00F, &message).expect("encrypt");
+    run.time(report, format!("packed_transcipher/{tag}/warm"), || {
         black_box(
-            s.server
-                .transcipher_packed(&s.ctx, &fixed, 0)
+            server
+                .transcipher_packed(&ctx, &fixed, 0)
                 .expect("transcipher"),
         );
-    }
-    let warm = start.elapsed().as_nanos() as f64 / reps as f64;
-    let id = format!("packed_transcipher/{tag}/warm");
-    println!("{id}: {warm:.0} ns/iter [{phase}]");
-    report.push(id, phase, warm);
+    });
 
     // Rotation-work counts (raw counts, not nanoseconds).
-    s.server.reset_key_switch_count();
-    black_box(
-        s.server
-            .keystream_packed(&s.ctx, 0xF00F, 0)
-            .expect("keystream"),
+    server.reset_key_switch_count();
+    black_box(server.keystream_packed(&ctx, 0xF00F, 0).expect("keystream"));
+    run.record(
+        report,
+        format!("key_switches/keystream/{tag}"),
+        server.key_switch_count() as f64,
     );
-    let switches = s.server.key_switch_count();
-    let id = format!("key_switches/keystream/{tag}");
-    println!("{id}: {switches} [{phase}]");
-    report.push(id, phase, switches as f64);
-    let keys = s.server.rotation_key_count();
-    let id = format!("rotation_keys/{tag}");
-    println!("{id}: {keys} [{phase}]");
-    report.push(id, phase, keys as f64);
+    run.record(
+        report,
+        format!("rotation_keys/{tag}"),
+        server.rotation_key_count() as f64,
+    );
 }
 
 fn main() {
-    let opts = parse_args();
-    let path = format!("{}/BENCH_rotation.json", opts.out_dir);
-
-    let mut report = BenchReport::new(
+    let run = BenchOptions::from_env();
+    let mut report = run.open(
         "rotation",
         "packed transcipher: naive diagonal rotations (before) vs hoisted BSGS (after); \
          ns per call, except key_switches/* and rotation_keys/* entries which are raw counts",
     );
-    if opts.phase == "after" {
-        if let Ok(prev) = std::fs::read_to_string(&path) {
-            report.merge_phase_from(&prev, "before");
-        }
-    }
-    let strategy = if opts.phase == "before" {
-        PackedStrategy::Naive
-    } else {
-        PackedStrategy::Bsgs
+    let strategy = match run.phase {
+        Phase::Before => PackedStrategy::Naive,
+        Phase::After => PackedStrategy::Bsgs,
     };
 
     // Scaled-down set (the unit-test sizes): PASTA t=4, r=2 on N=256.
     bench_packed(
+        &run,
         &mut report,
-        &opts.phase,
-        opts.quick,
         PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).expect("params"),
         BfvParams {
             prime_count: 8,
@@ -216,9 +131,8 @@ fn main() {
     // The paper's PASTA-3 parameter set: t = 128, 3 rounds. N = 1024
     // gives a 512-lane orbit — exactly the 4t the packed layout needs.
     bench_packed(
+        &run,
         &mut report,
-        &opts.phase,
-        opts.quick,
         PastaParams::pasta3_17bit(),
         BfvParams {
             n: 1024,
@@ -229,9 +143,5 @@ fn main() {
         "t=128/N=1024",
     );
 
-    std::fs::write(&path, report.to_json()).expect("write bench report");
-    println!("wrote {path}");
-    for (id, backend, factor) in report.speedups() {
-        println!("speedup {id} ({backend}): {factor:.2}x");
-    }
+    run.finish(&mut report);
 }

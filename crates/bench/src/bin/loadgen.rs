@@ -110,12 +110,7 @@ fn install_panic_filter() {
 fn main() {
     install_panic_filter();
     let opts = parse_args();
-    let mut cfg = match (opts.quick, opts.multiplex) {
-        (true, true) => LoadgenConfig::quick().with_multiplex(),
-        (true, false) => LoadgenConfig::quick(),
-        (false, true) => LoadgenConfig::full_mux(),
-        (false, false) => LoadgenConfig::full(),
-    };
+    let mut cfg = LoadgenConfig::scenario(!opts.quick, opts.multiplex);
     if let Some(seed) = opts.seed {
         cfg.seed = seed;
     }
@@ -157,7 +152,7 @@ fn main() {
     if cfg.inject_fault_on_seq.is_some() && report.worker_faults == 0 {
         failures.push("the injected worker fault never fired".to_string());
     }
-    if cfg.multiplex && report.mux_buckets == 0 {
+    if cfg.server.multiplex.enabled && report.mux_buckets == 0 {
         failures.push("multiplexing was on but no bucket ever flushed".to_string());
     }
     if let Some(path) = &opts.baseline {
@@ -201,7 +196,7 @@ fn main() {
         eprintln!("cannot write {path}: {err}");
         std::process::exit(1);
     }
-    if cfg.multiplex {
+    if cfg.server.multiplex.enabled {
         eprintln!(
             "multiplexing: {} bucket(s) served {} request(s); flushes full {} / \
              deadline {} / drain {}; fill mean {}‰ p50 {}‰",

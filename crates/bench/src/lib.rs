@@ -13,9 +13,16 @@
 //! | `analysis_mulcount`    | §I.A multiplication-count analysis    |
 //! | `analysis_keccak`      | §IV.B Keccak-budget analysis          |
 //!
-//! The Criterion benches (`benches/`) measure the host wall-clock of the
-//! substrates themselves (modular reduction, Keccak, cipher, simulator,
-//! BFV, SoC) to complement the cycle models.
+//! Three more binaries commit host wall-clock records, `BENCH_*.json`
+//! rows with a `before` and an `after` phase: `bench_hotpath` (NTT
+//! round-trips, scalar and batched transcipher), `bench_mul` (BFV
+//! multiplication, bigint oracle vs RNS) and `bench_rotation` (packed
+//! transcipher, naive vs BSGS rotations). They share one harness in
+//! [`report`]: the option parser, the min-of-reps timer, the
+//! per-SIMD-backend loop and the report path, which stamps the thread
+//! count and host CPU into each file. `loadgen` writes the service
+//! record, `BENCH_server.json`. The whole stack's wall-clock benchmark
+//! is `wallbench/`, a package of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

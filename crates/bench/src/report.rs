@@ -1,4 +1,11 @@
-//! Plain-text table/figure rendering for the experiment binaries.
+//! Plain-text table/figure rendering for the experiment binaries, and
+//! the one timing harness of the `BENCH_*.json` writers: the option
+//! parser ([`BenchOptions`]), the min-of-reps timer ([`Timing`]), the
+//! per-backend loop ([`for_each_backend`]) and the report open/finish
+//! path.
+
+use pasta_math::simd;
+use std::time::{Duration, Instant};
 
 /// A simple fixed-width text table.
 #[derive(Debug, Default)]
@@ -322,9 +329,339 @@ impl BenchReport {
     }
 }
 
+/// Measurement phase of a `BENCH_*.json` row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// The baseline path the current one is measured against.
+    Before,
+    /// The current path. Its run carries the committed `before` rows
+    /// forward, so the file holds before/after pairs.
+    After,
+}
+
+impl Phase {
+    /// The label written to the `phase` key.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Phase::Before => "before",
+            Phase::After => "after",
+        }
+    }
+}
+
+/// Calls per timed batch at most, so a warm-up call near the clock's
+/// resolution cannot size a runaway batch.
+const MAX_BATCH: u128 = 1_000_000;
+
+/// The timer: one untimed warm-up call, then `reps` timed batches, each
+/// sized from the warm-up call to last about `window` (at least one
+/// call, at most `MAX_BATCH`). The fastest batch's ns per call is the
+/// measurement: on a shared box a mean folds in scheduler preemptions,
+/// the minimum does not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Timing {
+    /// Timed batches (at least one).
+    reps: u32,
+    /// Wall-clock length each batch aims for.
+    window: Duration,
+}
+
+impl Timing {
+    /// Committed-record runs: five batches of about 100 ms.
+    pub const FULL: Timing = Timing {
+        reps: 5,
+        window: Duration::from_millis(100),
+    };
+    /// `--quick` (CI smoke) runs: one batch of about 10 ms.
+    pub const QUICK: Timing = Timing {
+        reps: 1,
+        window: Duration::from_millis(10),
+    };
+
+    /// Times `f` and returns the fastest batch's ns per call.
+    pub fn ns_per_call(self, mut f: impl FnMut()) -> f64 {
+        let warm_up = Instant::now();
+        f();
+        let warm_ns = warm_up.elapsed().as_nanos().max(1);
+        let batch = (self.window.as_nanos() / warm_ns).clamp(1, MAX_BATCH);
+        (0..self.reps)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..batch {
+                    f();
+                }
+                start.elapsed().as_nanos().max(1) as f64 / batch as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// Runs `f` once under each SIMD backend this machine has — scalar,
+/// then AVX2 where the CPU supports it — and then restores the
+/// environment's selection. [`BenchReport::push`] stamps the backend
+/// in effect, so rows pushed inside `f` carry the forced one.
+pub fn for_each_backend(mut f: impl FnMut()) {
+    for backend in [simd::Backend::Scalar, simd::Backend::Avx2] {
+        if simd::force_backend(Some(backend)) == backend {
+            f();
+        }
+    }
+    simd::force_backend(None);
+}
+
+/// The command line shared by the `BENCH_*.json` writers:
+///
+/// ```text
+/// --phase before|after   which path to measure (default after)
+/// --quick                CI smoke mode: Timing::QUICK instead of FULL
+/// --out-dir DIR          where BENCH_<name>.json is read and written (default .)
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BenchOptions {
+    /// The phase this run measures.
+    pub phase: Phase,
+    /// Short measurement windows.
+    pub quick: bool,
+    /// Directory of the report files.
+    pub out_dir: String,
+}
+
+impl BenchOptions {
+    /// Parses the arguments that follow the program name.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the unknown argument, the bad `--phase` value or
+    /// the missing `--out-dir` directory.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut opts = BenchOptions {
+            phase: Phase::After,
+            quick: false,
+            out_dir: ".".to_string(),
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--phase" => {
+                    opts.phase = match args.next().as_deref() {
+                        Some("before") => Phase::Before,
+                        Some("after") => Phase::After,
+                        other => {
+                            return Err(format!(
+                                "--phase must be 'before' or 'after', got '{}'",
+                                other.unwrap_or_default()
+                            ))
+                        }
+                    }
+                }
+                "--quick" => opts.quick = true,
+                "--out-dir" => opts.out_dir = args.next().ok_or("--out-dir needs a directory")?,
+                other => return Err(format!("unknown argument: {other}")),
+            }
+        }
+        Ok(opts)
+    }
+
+    /// Parses the process's arguments; on a bad one, prints the message
+    /// and exits with status 2.
+    #[must_use]
+    pub fn from_env() -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// The timer this run uses.
+    #[must_use]
+    pub fn timing(&self) -> Timing {
+        if self.quick {
+            Timing::QUICK
+        } else {
+            Timing::FULL
+        }
+    }
+
+    /// Prints one row and pushes it under this run's phase and the
+    /// backend in effect. `value` is ns per call, or a raw count for
+    /// the rows whose report says so.
+    pub fn record(&self, report: &mut BenchReport, id: impl Into<String>, value: f64) {
+        let id = id.into();
+        let phase = self.phase.label();
+        println!("{id}: {value:.0} [{phase}, {}]", simd::backend_label());
+        report.push(id, phase, value);
+    }
+
+    /// Times `f` with [`BenchOptions::timing`] and records the ns per
+    /// call under `id`.
+    pub fn time(&self, report: &mut BenchReport, id: impl Into<String>, f: impl FnMut()) {
+        let ns = self.timing().ns_per_call(f);
+        self.record(report, id, ns);
+    }
+
+    fn path(&self, bench: &str) -> String {
+        format!("{}/BENCH_{bench}.json", self.out_dir)
+    }
+
+    /// Starts `BENCH_<bench>.json`. In the `after` phase it carries the
+    /// `before` rows of the file already in the output directory.
+    #[must_use]
+    pub fn open(&self, bench: &str, description: &str) -> BenchReport {
+        let mut report = BenchReport::new(bench, description);
+        if self.phase == Phase::After {
+            if let Ok(prev) = std::fs::read_to_string(self.path(bench)) {
+                report.merge_phase_from(&prev, Phase::Before.label());
+            }
+        }
+        report
+    }
+
+    /// Stamps `threads` and `host` into the report's meta, writes it,
+    /// and prints its before/after and AVX2-vs-scalar factors.
+    ///
+    /// # Panics
+    ///
+    /// If the report file cannot be written.
+    pub fn finish(&self, report: &mut BenchReport) {
+        report.set_meta("threads", pasta_par::threads().to_string());
+        report.set_meta("host", format!("\"{}\"", host_cpu()));
+        let path = self.path(&report.bench);
+        std::fs::write(&path, report.to_json())
+            .unwrap_or_else(|e| panic!("write bench report {path}: {e}"));
+        println!("wrote {path}");
+        let name = &report.bench;
+        for (id, backend, factor) in report.speedups() {
+            println!("speedup [{name}] {id} ({backend}): {factor:.2}x");
+        }
+        for (id, factor) in report.backend_speedups() {
+            println!("avx2-vs-scalar [{name}] {id}: {factor:.2}x");
+        }
+    }
+}
+
+/// The host CPU model (`model name` in `/proc/cpuinfo`), or `"unknown"`,
+/// with the characters that would need JSON escaping dropped.
+fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().replace(['"', '\\'], ""))
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
+
+    fn parse(args: &[&str]) -> Result<BenchOptions, String> {
+        BenchOptions::parse(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn options_parse_with_documented_defaults() {
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(defaults.phase, Phase::After);
+        assert!(!defaults.quick);
+        assert_eq!(defaults.out_dir, ".");
+        assert_eq!(defaults.timing(), Timing::FULL);
+        let set = parse(&["--phase", "before", "--quick", "--out-dir", "bench-out"]).unwrap();
+        assert_eq!(
+            set,
+            BenchOptions {
+                phase: Phase::Before,
+                quick: true,
+                out_dir: "bench-out".to_string(),
+            }
+        );
+        assert_eq!(set.timing(), Timing::QUICK);
+    }
+
+    #[test]
+    fn options_reject_bad_arguments() {
+        assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
+        assert!(parse(&["--phase", "sideways"])
+            .unwrap_err()
+            .contains("sideways"));
+        assert!(parse(&["--phase"]).is_err());
+        assert!(parse(&["--out-dir"]).is_err());
+    }
+
+    #[test]
+    fn timer_runs_one_warm_up_then_reps_batches() {
+        // A zero window sizes every batch at one call.
+        let mut calls = 0u128;
+        let ns = Timing {
+            reps: 3,
+            window: Duration::ZERO,
+        }
+        .ns_per_call(|| calls = black_box(calls + 1));
+        assert_eq!(calls, 1 + 3);
+        assert!(ns.is_finite() && ns > 0.0, "{ns}");
+
+        // A window far past any call caps every batch at MAX_BATCH.
+        let mut calls = 0u128;
+        let ns = Timing {
+            reps: 2,
+            window: Duration::from_secs(86_400 * 365),
+        }
+        .ns_per_call(|| calls = black_box(calls + 1));
+        assert_eq!(calls, 1 + 2 * MAX_BATCH);
+        assert!(ns.is_finite() && ns > 0.0, "{ns}");
+
+        // A 5 ms warm-up against a 50 ms window: equal batches of at
+        // most ten calls each.
+        let mut calls = 0u128;
+        Timing {
+            reps: 2,
+            window: Duration::from_millis(50),
+        }
+        .ns_per_call(|| {
+            if calls == 0 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            calls += 1;
+        });
+        let timed = calls - 1;
+        assert!(timed.is_multiple_of(2) && (2..=20).contains(&timed), "{calls}");
+    }
+
+    #[test]
+    fn finish_stamps_threads_and_host_and_open_merges_before_rows() {
+        let dir = std::env::temp_dir().join(format!("pasta-bench-report-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let before = BenchOptions {
+            phase: Phase::Before,
+            quick: true,
+            out_dir: dir.to_string_lossy().into_owned(),
+        };
+        let mut r = before.open("probe", "harness probe");
+        assert!(r.entries.is_empty());
+        before.record(&mut r, "a", 100.0);
+        before.finish(&mut r);
+        let json = std::fs::read_to_string(dir.join("BENCH_probe.json")).unwrap();
+        assert!(json.contains("\"threads\": "), "{json}");
+        assert!(json.contains("\"host\": \""), "{json}");
+        // The meta lines are not mistaken for measurement entries.
+        assert_eq!(BenchReport::parse_entries(&json), r.entries);
+
+        // The after phase carries the committed before row forward.
+        let after = BenchOptions {
+            phase: Phase::After,
+            ..before
+        };
+        let mut r = after.open("probe", "harness probe");
+        assert_eq!(r.entries.len(), 1);
+        assert_eq!(r.entries[0].phase, "before");
+        after.record(&mut r, "a", 50.0);
+        assert_eq!(r.speedups().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn bench_report_roundtrips_through_json() {

@@ -171,12 +171,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
             loss,
             ber,
         } => {
-            let mut cfg = match (*full, *multiplex) {
-                (true, true) => pasta_server::LoadgenConfig::full_mux(),
-                (true, false) => pasta_server::LoadgenConfig::full(),
-                (false, true) => pasta_server::LoadgenConfig::quick().with_multiplex(),
-                (false, false) => pasta_server::LoadgenConfig::quick(),
-            };
+            let mut cfg = pasta_server::LoadgenConfig::scenario(*full, *multiplex);
             if let Some(seed) = seed {
                 cfg.seed = *seed;
             }
@@ -217,7 +212,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
                 report.worker_faults,
                 report.retries
             );
-            if cfg.multiplex {
+            if cfg.server.multiplex.enabled {
                 let _ = writeln!(
                     out,
                     "multiplexed: {} bucket(s) for {} request(s); flushes full {} / deadline {} / drain {}; fill mean {} p50 {} permille",

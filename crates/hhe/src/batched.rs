@@ -187,18 +187,14 @@ impl BatchedHheServer {
         let t = self.params.t();
         let blocks = pasta_ct.len().div_ceil(t);
         let ks = self.keystream_batch(ctx, pasta_ct.nonce(), 0, blocks)?;
-        let mut positions = Vec::with_capacity(t);
-        for (i, ks_ct) in ks.positions.iter().enumerate() {
-            // Slot s holds ciphertext element s·t + i (0 past the end).
-            let c_slots: Vec<u64> = (0..blocks)
-                .map(|s| pasta_ct.elements().get(s * t + i).copied().unwrap_or(0))
-                .collect();
-            let mut out = ctx.encrypt_trivial(&self.encoder.encode(&c_slots));
-            ctx.sub_assign(&mut out, ks_ct)?;
-            positions.push(out);
-        }
         Ok(BatchedBlocks {
-            positions,
+            positions: subtract_keystream(
+                ctx,
+                &self.encoder,
+                &ks.positions,
+                blocks,
+                [(pasta_ct, 0)],
+            )?,
             first_counter: 0,
             blocks,
         })
@@ -364,6 +360,41 @@ pub(crate) fn slotted_keystream(
             })
         },
     )
+}
+
+/// The demux-side subtraction of a slot-parallel pass: each member is a
+/// PASTA ciphertext whose block `b` sits in slot `start + b`, and slot
+/// `s` of output position `i` becomes the trivially encrypted element
+/// `b·t + i` of the member owning `s` (0 where that member's last block
+/// is partial or `s` is unowned) minus the keystream. The batched
+/// server is the one-member, slot-0 case of the multiplexer.
+///
+/// # Errors
+///
+/// Propagates FHE errors from the subtraction.
+pub(crate) fn subtract_keystream<'a>(
+    ctx: &BfvContext,
+    encoder: &BatchEncoder,
+    keystream: &[FheCiphertext],
+    slots_used: usize,
+    members: impl IntoIterator<Item = (&'a PastaCiphertext, usize)>,
+) -> Result<Vec<FheCiphertext>, FheError> {
+    let t = keystream.len();
+    let mut c_slots = vec![vec![0u64; slots_used]; t];
+    for (ct, start) in members {
+        for (k, &e) in ct.elements().iter().enumerate() {
+            c_slots[k % t][start + k / t] = e;
+        }
+    }
+    keystream
+        .iter()
+        .zip(&c_slots)
+        .map(|(ks_ct, slots)| {
+            let mut out = ctx.encrypt_trivial(&encoder.encode(slots));
+            ctx.sub_assign(&mut out, ks_ct)?;
+            Ok(out)
+        })
+        .collect()
 }
 
 /// Provisions the PASTA key for the batched server: each key ciphertext

@@ -42,7 +42,7 @@
 //! compositions pay the masking multiplies and the encode+NTT work
 //! once.
 
-use crate::batched::slotted_keystream;
+use crate::batched::{slotted_keystream, subtract_keystream};
 use crate::cache::{ComposedKeyEntry, CompositionKey, MaterialCache};
 use crate::client::EncryptedPastaKey;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
@@ -280,7 +280,6 @@ impl MuxHheServer {
         ctx: &BfvContext,
         members: &[MuxMember<'_>],
     ) -> Result<MuxedBlocks, FheError> {
-        let t = self.params.t();
         let ranges = self.layout(members)?;
         let slots_used = ranges.last().map_or(0, |r| r.start + r.blocks);
 
@@ -304,23 +303,13 @@ impl MuxHheServer {
             &composed.elements,
         )?;
 
-        // Demux-side subtraction: slot s of position i carries message
-        // element (s − start)·t + i of the member owning slot s (0 where
-        // the member's last block is partial or the slot is unowned).
-        let mut positions = Vec::with_capacity(t);
-        for (i, ks_ct) in ks.iter().enumerate() {
-            let mut c_slots = vec![0u64; slots_used];
-            for (m, r) in members.iter().zip(&ranges) {
-                for b in 0..r.blocks {
-                    if let Some(&e) = m.ct.elements().get(b * t + i) {
-                        c_slots[r.start + b] = e;
-                    }
-                }
-            }
-            let mut out = ctx.encrypt_trivial(&self.encoder.encode(&c_slots));
-            ctx.sub_assign(&mut out, ks_ct)?;
-            positions.push(out);
-        }
+        let positions = subtract_keystream(
+            ctx,
+            &self.encoder,
+            &ks,
+            slots_used,
+            members.iter().zip(&ranges).map(|(m, r)| (m.ct, r.start)),
+        )?;
         Ok(MuxedBlocks {
             positions,
             ranges,

@@ -4,10 +4,15 @@
 //! rows and zero big integers in the kernels — the software analogue of
 //! the paper's fixed on-chip buffers.
 //!
+//! The contract covers the production RNS multiplication path only.
+//! The bigint oracle (`PASTA_MUL=bigint`) is a reference path that
+//! tests compare against, and it allocates big integers by design, so
+//! the test clears `PASTA_MUL` for its duration.
+//!
 //! Lives in its own integration-test binary: the test pins
 //! `PASTA_THREADS=1` (the thread-local debug counters can only observe
-//! the calling thread), and mutating the process environment must not
-//! race other tests.
+//! the calling thread) and the RNS backend, and mutating the process
+//! environment must not race other tests.
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams};
@@ -19,6 +24,8 @@ use rand::SeedableRng;
 #[test]
 fn warm_transcipher_allocates_no_poly_rows_or_bigints() {
     std::env::set_var(pasta_par::THREADS_ENV, "1");
+    let mul_backend = std::env::var(pasta_fhe::MUL_BACKEND_ENV).ok();
+    std::env::remove_var(pasta_fhe::MUL_BACKEND_ENV);
     let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
     let ctx = BfvContext::new(BfvParams::test_tiny()).unwrap();
     let mut rng = StdRng::seed_from_u64(4242);
@@ -59,4 +66,7 @@ fn warm_transcipher_allocates_no_poly_rows_or_bigints() {
     let recovered = client.retrieve(&ctx, &fhe_sk, &fhe_cts);
     assert_eq!(recovered, message);
     std::env::remove_var(pasta_par::THREADS_ENV);
+    if let Some(v) = mul_backend {
+        std::env::set_var(pasta_fhe::MUL_BACKEND_ENV, v);
+    }
 }

@@ -58,12 +58,12 @@ pub struct LoadgenConfig {
     /// Also attempt to register one deliberately under-provisioned
     /// tenant, exercising the `BudgetRefused` admission path.
     pub starved_tenant: bool,
-    /// Run the fleet in cross-tenant multiplexing mode: all tenants
-    /// share one analyst FHE keypair (provisioned deterministically from
-    /// the seed), register into FHE domain 1, and are served through
-    /// shared slot-packed bucket passes instead of private scalar ones.
-    pub multiplex: bool,
-    /// The service configuration under test.
+    /// The service configuration under test. With
+    /// `server.multiplex.enabled` the fleet runs in cross-tenant
+    /// multiplexing mode: all tenants share one analyst FHE keypair
+    /// (provisioned deterministically from the seed), register into FHE
+    /// domain 1, and are served through shared slot-packed bucket passes
+    /// instead of private scalar ones.
     pub server: ServerConfig,
 }
 
@@ -86,7 +86,6 @@ impl LoadgenConfig {
             backoff_base_us: 4_000,
             inject_fault_on_seq: Some(1),
             starved_tenant: true,
-            multiplex: false,
             server: ServerConfig {
                 workers: 2,
                 queue_capacity: 3,
@@ -115,7 +114,6 @@ impl LoadgenConfig {
             backoff_base_us: 8_000,
             inject_fault_on_seq: Some(1),
             starved_tenant: true,
-            multiplex: false,
             server: ServerConfig {
                 workers: 8,
                 queue_capacity: 6,
@@ -133,7 +131,6 @@ impl LoadgenConfig {
     /// `Deadline` and `Drain`), and an 8 ms shared pass cost.
     #[must_use]
     pub fn with_multiplex(mut self) -> Self {
-        self.multiplex = true;
         self.server.multiplex = MultiplexConfig {
             enabled: true,
             max_bucket_blocks: 4,
@@ -157,6 +154,19 @@ impl LoadgenConfig {
         cfg.server.multiplex.max_bucket_blocks = 32;
         cfg.server.multiplex.flush_margin_us = 30_000;
         cfg
+    }
+
+    /// The scenario the `loadgen` binary and `pasta-edge-cli server`
+    /// select: [`LoadgenConfig::quick`] or [`LoadgenConfig::full`],
+    /// scalar or multiplexed ([`LoadgenConfig::full_mux`] for both).
+    #[must_use]
+    pub fn scenario(full: bool, multiplex: bool) -> Self {
+        match (full, multiplex) {
+            (true, true) => LoadgenConfig::full_mux(),
+            (true, false) => LoadgenConfig::full(),
+            (false, true) => LoadgenConfig::quick().with_multiplex(),
+            (false, false) => LoadgenConfig::quick(),
+        }
     }
 }
 
@@ -357,10 +367,11 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// *not* errors — they are the counters.
 pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, PipelineError> {
     let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT)?;
+    let multiplex = cfg.server.multiplex.enabled;
     // Multiplexing spends one extra multiplicative level on the slot
     // masks composing the shared key, so its scenarios carry one more
     // RNS prime than the scalar baseline.
-    let bfv = if cfg.multiplex {
+    let bfv = if multiplex {
         BfvParams {
             prime_count: 6,
             ..BfvParams::test_tiny()
@@ -376,7 +387,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, PipelineError> {
         // trust prerequisite of domain registration, modeled without
         // plumbing key objects between tenants. Each tenant still has
         // its own PASTA key and its own provisioning randomness.
-        let fhe_seed = if cfg.multiplex {
+        let fhe_seed = if multiplex {
             cfg.seed ^ 0xA5A5
         } else {
             cfg.seed ^ (0xA5A5 + j as u64 * 0x9E37_79B9)
@@ -389,7 +400,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, PipelineError> {
         let seed_bytes = (cfg.seed ^ j as u64).to_le_bytes();
         let client = HheClient::new(params, &seed_bytes);
         let mut prov_rng = StdRng::seed_from_u64(cfg.seed ^ (0x5EED + j as u64 * 0x9E37_79B9));
-        let encrypted_key = if cfg.multiplex {
+        let encrypted_key = if multiplex {
             client.provision_key(&ctx, &pk, &mut prov_rng)
         } else {
             client.provision_key(&ctx, &pk, &mut rng)
@@ -399,7 +410,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, PipelineError> {
             bfv,
             relin_key: relin,
             encrypted_key,
-            fhe_domain: cfg.multiplex.then_some(1),
+            fhe_domain: multiplex.then_some(1),
         })?;
         tenants.push(TenantSide {
             id,
